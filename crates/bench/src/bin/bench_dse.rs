@@ -25,8 +25,9 @@ use tta_core::models::{
     TestCostModel, TimingModel,
 };
 use tta_core::{CarriedFolds, ComponentDb, DeltaEvaluator};
+use tta_movec::{Dfg, Scheduler};
 use tta_netlist::{elaborate, timing, IncrementalElaborator};
-use tta_workloads::suite;
+use tta_workloads::{suite, SuiteParams, SuiteRegistry};
 
 struct SweepRow {
     space: &'static str,
@@ -43,6 +44,15 @@ struct FoldRow {
     scratch_s: f64,
     delta_s: f64,
     incremental_s: f64,
+}
+
+struct ScheduleRow {
+    space: &'static str,
+    points: usize,
+    schedules: usize,
+    infeasible: usize,
+    run_us: f64,
+    cost_us: f64,
 }
 
 struct FidelityRow {
@@ -228,6 +238,84 @@ fn time_fold_axis(
     }
 }
 
+/// Times the list scheduler alone, per (point, workload) schedule, over
+/// a seeded sample of the space against suite `all`: `run` builds the
+/// full move schedule lowering and simulation need, `cost` the
+/// cycles-only path sweeps take. An untimed pass first asserts the two
+/// agree on every pair.
+fn time_schedule(
+    space: &'static str,
+    template: TemplateSpace,
+    sample: usize,
+    iters: usize,
+) -> ScheduleRow {
+    eprintln!("scheduling a {sample}-point sample of the {space} space...");
+    let mut state = 1u64;
+    let archs: Vec<_> = (0..sample)
+        .map(|_| template.point((splitmix(&mut state) % template.len() as u64) as usize))
+        .collect();
+    let workloads: Vec<_> = SuiteRegistry::standard()
+        .instantiate("all", &SuiteParams::fast())
+        .expect("standard suite `all`")
+        .into_iter()
+        .map(|m| m.workload)
+        .collect();
+    let mut infeasible = 0;
+    for arch in &archs {
+        let scheduler = Scheduler::new(arch);
+        for w in &workloads {
+            let full = scheduler.run(&w.dfg).map(|s| s.cost());
+            assert_eq!(scheduler.cost(&w.dfg), full, "{} / {}", arch.name, w.name);
+            infeasible += usize::from(full.is_err());
+        }
+    }
+    let best_of = |f: &mut dyn FnMut() -> u64| {
+        let mut best = f64::INFINITY;
+        for _ in 0..iters.max(1) {
+            let start = Instant::now();
+            black_box(f());
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        best
+    };
+    // One scheduler per point, as a sweep evaluates it; `cycles` maps
+    // one schedule attempt to its cycle count (0 when infeasible).
+    let time_path = |cycles: &dyn Fn(&Scheduler, &Dfg) -> u64| {
+        best_of(&mut || {
+            archs
+                .iter()
+                .map(|arch| {
+                    let scheduler = Scheduler::new(arch);
+                    workloads
+                        .iter()
+                        .map(|w| cycles(&scheduler, &w.dfg))
+                        .sum::<u64>()
+                })
+                .sum()
+        })
+    };
+    let run_s = time_path(&|s, dfg| s.run(dfg).map_or(0, |s| u64::from(s.cycles)));
+    let cost_s = time_path(&|s, dfg| s.cost(dfg).map_or(0, |c| u64::from(c.cycles)));
+    let schedules = archs.len() * workloads.len();
+    ScheduleRow {
+        space,
+        points: template.len(),
+        schedules,
+        infeasible,
+        run_us: run_s * 1e6 / schedules as f64,
+        cost_us: cost_s * 1e6 / schedules as f64,
+    }
+}
+
+/// SplitMix64: a stable, dependency-free index stream for samples.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Best-of-`iters` wall-clock for one cold sweep in `mode`.
 fn time_sweep(
     space: &TemplateSpace,
@@ -374,7 +462,17 @@ fn main() {
             iters,
         ));
     }
-    if rows.is_empty() && fold_rows.is_empty() && fidelity_rows.is_empty() {
+    // Schedule rows: the list scheduler alone, full schedule vs the
+    // cycles-only path, on a seeded sample of the 2^20-point space.
+    let mut schedule_rows = Vec::new();
+    if keep("huge") {
+        schedule_rows.push(time_schedule("huge", TemplateSpace::huge(), 500, iters));
+    }
+    if rows.is_empty()
+        && fold_rows.is_empty()
+        && fidelity_rows.is_empty()
+        && schedule_rows.is_empty()
+    {
         eprintln!("--space matched nothing (expected fast, paper or huge)");
         std::process::exit(2);
     }
@@ -407,7 +505,11 @@ fn main() {
          incremental drives the IncrementalElaborator along the Gray walk, rewinding to the \
          first differing segment (bit-identity to scratch asserted in an untimed pass). The \
          table fold being orders of magnitude cheaper is the fidelity trade, not a regression; \
-         the CI soft bar watches netlist_over_incremental like the fold rows' 3x bar.\","
+         the CI soft bar watches netlist_over_incremental like the fold rows' 3x bar. The \
+         schedule rows time the movec list scheduler alone per (point, workload) schedule on a \
+         seeded 500-point sample of the huge space against suite all: run_us builds the full move \
+         schedule (lowering, simulation, ttadse sim), cost_us is the cycles-only path sweeps use \
+         (agreement on every pair asserted in an untimed pass).\","
     );
     println!("  \"sweeps\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -453,6 +555,22 @@ fn main() {
             r.netlist_s,
             r.incremental_s,
             r.netlist_s / r.incremental_s
+        );
+    }
+    println!("  ],");
+    println!("  \"schedule\": [");
+    for (i, r) in schedule_rows.iter().enumerate() {
+        let comma = if i + 1 < schedule_rows.len() { "," } else { "" };
+        println!(
+            "    {{ \"space\": \"{}\", \"points\": {}, \"suite\": \"all\", \"schedules\": {}, \
+             \"infeasible\": {}, \"run_us\": {:.2}, \"cost_us\": {:.2}, \"run_over_cost\": {:.2} }}{comma}",
+            r.space,
+            r.points,
+            r.schedules,
+            r.infeasible,
+            r.run_us,
+            r.cost_us,
+            r.run_us / r.cost_us
         );
     }
     println!("  ],");

@@ -2005,17 +2005,25 @@ fn evaluate_point(
 ) -> PointOutcome {
     let mut workload_cycles = Vec::with_capacity(workloads.len());
     let mut spills = 0u32;
+    let scheduler = Scheduler::new(arch);
     for (i, w) in workloads.iter().enumerate() {
-        let schedule = Scheduler::new(arch).run(&w.dfg).map_err(|_| Some(i))?;
-        let trace_cycles = match cycle_source {
-            CycleSource::Model => schedule.cycles,
+        let (trace_cycles, workload_spills) = match cycle_source {
+            // The model only needs what the schedule costs.
+            CycleSource::Model => {
+                let cost = scheduler.cost(&w.dfg).map_err(|_| Some(i))?;
+                (cost.cycles, cost.spills)
+            }
             // Execute the lowered program and trust the machine, not
             // the model. A program that cannot lower or run is as
             // infeasible as one that cannot schedule.
-            CycleSource::Simulate => executed_cycles(arch, w, &schedule).ok_or(Some(i))?,
+            CycleSource::Simulate => {
+                let schedule = scheduler.run(&w.dfg).map_err(|_| Some(i))?;
+                let cycles = executed_cycles(arch, w, &schedule).ok_or(Some(i))?;
+                (cycles, schedule.spills)
+            }
         };
         workload_cycles.push(w.application_cycles(trace_cycles));
-        spills += schedule.spills;
+        spills += workload_spills;
     }
     let cycles: u64 = workload_cycles.iter().sum();
     let weighted_cycles = weighted_sum(&workload_cycles, weights);

@@ -6,6 +6,7 @@
 //! the exploration evaluates the Crypt kernel.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of an IR value (the result of one node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -118,12 +119,116 @@ pub struct Node {
 }
 
 /// A dataflow graph over `width`-bit words.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Dfg {
     width: u32,
     nodes: Vec<Node>,
     outputs: Vec<ValueId>,
     n_inputs: usize,
+    /// Lazily built scheduling facts; reset by every mutation.
+    analysis: OnceLock<DfgAnalysis>,
+}
+
+// Hand-written to leave the analysis out: the sweep cache addresses a
+// workload by this rendering, which must stay what `derive` produced.
+impl fmt::Debug for Dfg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dfg")
+            .field("width", &self.width)
+            .field("nodes", &self.nodes)
+            .field("outputs", &self.outputs)
+            .field("n_inputs", &self.n_inputs)
+            .finish()
+    }
+}
+
+/// Architecture-independent facts the list scheduler needs about a
+/// [`Dfg`], built once per graph by [`Dfg::analysis`] and shared by
+/// every schedule of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DfgAnalysis {
+    priorities: Vec<u32>,
+    order: Vec<usize>,
+    reads: Vec<u32>,
+    is_output: Vec<bool>,
+    classes: Vec<FuClass>,
+}
+
+impl DfgAnalysis {
+    fn build(dfg: &Dfg) -> Self {
+        let n = dfg.nodes.len();
+        let mut reads = vec![0u32; n];
+        let mut classes = Vec::new();
+        for node in &dfg.nodes {
+            for a in &node.args {
+                reads[a.index()] += 1;
+            }
+            if let Some(class) = node.op.fu_class() {
+                if !classes.contains(&class) {
+                    classes.push(class);
+                }
+            }
+        }
+        // Longest path to a sink: every argument sits strictly above
+        // each of its consumers.
+        let mut priorities = vec![0u32; n];
+        for i in (0..n).rev() {
+            let above = priorities[i] + 1;
+            for a in &dfg.nodes[i].args {
+                let p = &mut priorities[a.index()];
+                *p = (*p).max(above);
+            }
+        }
+        // A stable sort on falling priority; since priorities fall
+        // strictly along every edge, the order is also topological.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(priorities[i]));
+        debug_assert!(
+            {
+                let mut position = vec![0; n];
+                for (k, &i) in order.iter().enumerate() {
+                    position[i] = k;
+                }
+                dfg.nodes
+                    .iter()
+                    .enumerate()
+                    .all(|(i, node)| node.args.iter().all(|a| position[a.index()] < position[i]))
+            },
+            "the priority order must be topological"
+        );
+        let mut is_output = vec![false; n];
+        for o in &dfg.outputs {
+            is_output[o.index()] = true;
+        }
+        DfgAnalysis {
+            priorities,
+            order,
+            reads,
+            is_output,
+            classes,
+        }
+    }
+
+    /// Node indices by falling priority, ties in definition order. Every
+    /// node comes after all of its arguments.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// How many argument slots read each node's value.
+    pub(crate) fn read_counts(&self) -> &[u32] {
+        &self.reads
+    }
+
+    /// Whether each node's value is a live-out.
+    pub(crate) fn is_output(&self) -> &[bool] {
+        &self.is_output
+    }
+
+    /// The FU classes the graph executes on, in order of first use.
+    pub(crate) fn fu_classes(&self) -> &[FuClass] {
+        &self.classes
+    }
 }
 
 impl Dfg {
@@ -139,6 +244,7 @@ impl Dfg {
             nodes: Vec::new(),
             outputs: Vec::new(),
             n_inputs: 0,
+            analysis: OnceLock::new(),
         }
     }
 
@@ -183,6 +289,7 @@ impl Dfg {
             assert!(a.index() < self.nodes.len(), "forward reference {a}");
         }
         let id = ValueId(self.nodes.len() as u32);
+        self.analysis = OnceLock::new();
         self.nodes.push(Node {
             op,
             args: args.to_vec(),
@@ -197,6 +304,7 @@ impl Dfg {
             self.nodes[v.index()].op.has_result(),
             "stores have no value"
         );
+        self.analysis = OnceLock::new();
         self.outputs.push(v);
     }
 
@@ -223,36 +331,28 @@ impl Dfg {
             .count()
     }
 
-    /// Consumers of every value.
-    pub fn consumers(&self) -> Vec<Vec<ValueId>> {
-        let mut cons: Vec<Vec<ValueId>> = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for a in &node.args {
-                cons[a.index()].push(ValueId(i as u32));
-            }
-        }
-        cons
+    /// The scheduling facts of this graph, built on first use and kept
+    /// until the next [`Self::op`], [`Self::input`], [`Self::constant`]
+    /// or [`Self::mark_output`].
+    pub fn analysis(&self) -> &DfgAnalysis {
+        self.analysis.get_or_init(|| DfgAnalysis::build(self))
     }
 
     /// Longest path (in nodes) from each node to any sink — the classic
     /// list-scheduling priority.
     pub fn priorities(&self) -> Vec<u32> {
-        let cons = self.consumers();
-        let mut prio = vec![0u32; self.nodes.len()];
-        for i in (0..self.nodes.len()).rev() {
-            let best = cons[i]
-                .iter()
-                .map(|c| prio[c.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            prio[i] = best;
-        }
-        prio
+        self.analysis().priorities.clone()
     }
 
     /// Critical-path length in operations (lower bound on any schedule).
     pub fn critical_path(&self) -> u32 {
-        self.priorities().iter().copied().max().unwrap_or(0) + 1
+        self.analysis()
+            .priorities
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(0)
+            + 1
     }
 
     /// Interprets the graph: the golden model for workload verification.
@@ -361,6 +461,18 @@ mod tests {
         assert!(p[a.index()] > p[b.index()]);
         assert!(p[b.index()] > p[c.index()]);
         assert_eq!(dfg.critical_path(), 3);
+    }
+
+    #[test]
+    fn debug_rendering_ignores_the_cached_analysis() {
+        let mut dfg = Dfg::new(16);
+        let a = dfg.input();
+        dfg.mark_output(a);
+        let want = "Dfg { width: 16, nodes: [Node { op: Input, args: [] }], \
+                    outputs: [ValueId(0)], n_inputs: 1 }";
+        assert_eq!(format!("{dfg:?}"), want);
+        let _ = dfg.analysis();
+        assert_eq!(format!("{dfg:?}"), want);
     }
 
     #[test]

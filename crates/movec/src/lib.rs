@@ -36,5 +36,5 @@ pub mod ir;
 pub mod metrics;
 pub mod schedule;
 
-pub use ir::{Dfg, FuClass, Op, ValueId};
-pub use schedule::{Move, Schedule, ScheduleError, Scheduler};
+pub use ir::{Dfg, DfgAnalysis, FuClass, Op, ValueId};
+pub use schedule::{Move, Schedule, ScheduleCost, ScheduleError, Scheduler};

@@ -15,10 +15,11 @@
 //! penalty instead of scheduling explicit spill code.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use tta_arch::{Architecture, FuKind, OpTransport};
 
-use crate::ir::{Dfg, FuClass, Op, ValueId};
+use crate::ir::{Dfg, DfgAnalysis, FuClass, Op, ValueId};
 
 /// Cycles charged per register-file overflow event (a store+load round
 /// trip on a loaded machine).
@@ -126,34 +127,135 @@ impl Schedule {
     pub fn transports_per_fu(&self) -> &HashMap<usize, Vec<OpTransport>> {
         &self.transports
     }
+
+    /// The cost summary [`Scheduler::cost`] returns for the same input.
+    pub fn cost(&self) -> ScheduleCost {
+        ScheduleCost {
+            cycles: self.cycles,
+            makespan: self.makespan,
+            spills: self.spills,
+        }
+    }
 }
 
-/// Per-cycle counted resource.
+/// What a schedule costs, without the moves that realise it: the
+/// result of [`Scheduler::cost`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleCost {
+    /// Total cycle count including spill penalties.
+    pub cycles: u32,
+    /// Makespan before spill penalties.
+    pub makespan: u32,
+    /// Register-file overflow events.
+    pub spills: u32,
+}
+
+/// A per-cycle counted resource (bus slots, RF ports, immediate
+/// outputs) with a bitset of the cycles it has no capacity left in, so
+/// slot searches can jump over them instead of probing one by one.
+/// Cycles past everything taken so far are free.
 #[derive(Debug, Clone, Default)]
-struct Pool {
+pub struct Pool {
     used: Vec<u16>,
+    full: Vec<u64>,
     cap: u16,
 }
 
 impl Pool {
-    fn new(cap: usize) -> Self {
+    /// A pool of `cap` units per cycle, nothing taken yet.
+    pub fn new(cap: usize) -> Self {
         Pool {
             used: Vec::new(),
+            full: Vec::new(),
             cap: cap as u16,
         }
     }
 
-    fn free_at(&self, cycle: u32) -> bool {
-        self.used.get(cycle as usize).is_none_or(|&u| u < self.cap)
+    /// Units taken at `cycle`.
+    fn used_at(&self, cycle: u32) -> u16 {
+        self.used.get(cycle as usize).copied().unwrap_or(0)
     }
 
-    fn take(&mut self, cycle: u32) {
+    /// Whether a unit is left at `cycle`.
+    pub fn free_at(&self, cycle: u32) -> bool {
+        self.used_at(cycle) < self.cap
+    }
+
+    /// Takes one unit at `cycle`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `cycle` has no unit left.
+    pub fn take(&mut self, cycle: u32) {
         let idx = cycle as usize;
         if self.used.len() <= idx {
             self.used.resize(idx + 1, 0);
+            self.full.resize(idx / 64 + 1, 0);
         }
         debug_assert!(self.used[idx] < self.cap, "over-subscribed pool");
         self.used[idx] += 1;
+        if self.used[idx] >= self.cap {
+            self.full[idx / 64] |= 1 << (idx % 64);
+        }
+    }
+
+    /// The first cycle at or after `from` with a unit left.
+    pub fn next_free(&self, from: u32) -> u32 {
+        let mut word = from as usize / 64;
+        let Some(&bits) = self.full.get(word) else {
+            return from;
+        };
+        let mut open = !bits & (!0u64 << (from % 64));
+        loop {
+            if open != 0 {
+                return (word * 64) as u32 + open.trailing_zeros();
+            }
+            word += 1;
+            match self.full.get(word) {
+                Some(&bits) => open = !bits,
+                None => return (word * 64) as u32,
+            }
+        }
+    }
+
+    /// The last cycle at or before `from` with a unit left, if any.
+    pub fn prev_free(&self, from: u32) -> Option<u32> {
+        let mut word = from as usize / 64;
+        let Some(&bits) = self.full.get(word) else {
+            return Some(from);
+        };
+        let mut open = !bits & (!0u64 >> (63 - from % 64));
+        loop {
+            if open != 0 {
+                return Some((word * 64) as u32 + 63 - open.leading_zeros());
+            }
+            word = word.checked_sub(1)?;
+            open = !self.full[word];
+        }
+    }
+}
+
+/// The first cycle from `from` at which both pools have a unit left.
+fn next_free_in_both(a: &Pool, b: &Pool, from: u32) -> u32 {
+    let mut c = a.next_free(from);
+    loop {
+        let d = b.next_free(c);
+        if d == c {
+            return c;
+        }
+        c = a.next_free(d);
+    }
+}
+
+/// The last cycle up to `from` at which both pools have a unit left.
+fn prev_free_in_both(a: &Pool, b: &Pool, from: u32) -> Option<u32> {
+    let mut c = a.prev_free(from)?;
+    loop {
+        let d = b.prev_free(c)?;
+        if d == c {
+            return Some(c);
+        }
+        c = a.prev_free(d)?;
     }
 }
 
@@ -169,15 +271,25 @@ enum Place {
 }
 
 /// The transport list scheduler.
+///
+/// [`Self::run`] returns the full [`Schedule`] that lowering, simulation
+/// and relation checks need; [`Self::cost`] runs the very same
+/// scheduling pass but keeps only its [`ScheduleCost`], which is all an
+/// exploration sweep reads. Architecture validation runs once per
+/// scheduler, however many graphs it schedules.
 #[derive(Debug)]
 pub struct Scheduler<'a> {
     arch: &'a Architecture,
+    validated: OnceLock<Result<(), tta_arch::ArchitectureError>>,
 }
 
 impl<'a> Scheduler<'a> {
     /// Creates a scheduler for `arch`.
     pub fn new(arch: &'a Architecture) -> Self {
-        Scheduler { arch }
+        Scheduler {
+            arch,
+            validated: OnceLock::new(),
+        }
     }
 
     /// Schedules `dfg`, returning the complete move schedule.
@@ -188,38 +300,76 @@ impl<'a> Scheduler<'a> {
     /// * [`ScheduleError::MissingFu`] if the DFG uses an operation class
     ///   the architecture has no unit for.
     pub fn run(&self, dfg: &Dfg) -> Result<Schedule, ScheduleError> {
-        self.arch
-            .validate()
-            .map_err(ScheduleError::InvalidArchitecture)?;
-        let mut st = State::new(self.arch, dfg)?;
+        let (cost, trace) = self.schedule(dfg, Trace::default())?;
+        Ok(Schedule {
+            cycles: cost.cycles,
+            makespan: cost.makespan,
+            moves: trace.moves,
+            ops: trace.ops,
+            spills: cost.spills,
+            transports: trace.transports,
+        })
+    }
 
-        // List scheduling: repeatedly pick the highest-priority ready node.
-        let prio = dfg.priorities();
-        let n = dfg.nodes().len();
-        let mut scheduled = vec![false; n];
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(prio[i]));
-        let mut done = 0;
-        while done < n {
-            let mut progressed = false;
-            for &i in &order {
-                if scheduled[i] {
-                    continue;
-                }
-                let node = &dfg.nodes()[i];
-                let ready = node.args.iter().all(|a| scheduled[a.index()]);
-                if !ready {
-                    continue;
-                }
-                st.schedule_node(dfg, i)?;
-                scheduled[i] = true;
-                done += 1;
-                progressed = true;
-            }
-            assert!(progressed, "DFG is acyclic; some node must be ready");
+    /// Schedules `dfg` like [`Self::run`] but returns only what the
+    /// schedule costs: equal to `run(dfg)?.cost()`, without building the
+    /// moves, op bindings or transports.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Self::run`].
+    pub fn cost(&self, dfg: &Dfg) -> Result<ScheduleCost, ScheduleError> {
+        self.schedule(dfg, ()).map(|(cost, ())| cost)
+    }
+
+    /// The one list-scheduling pass behind [`Self::run`] and
+    /// [`Self::cost`]; `recorder` decides what is kept of it.
+    fn schedule<R: Recorder>(
+        &self,
+        dfg: &Dfg,
+        recorder: R,
+    ) -> Result<(ScheduleCost, R), ScheduleError> {
+        if let Err(e) = self.validated.get_or_init(|| self.arch.validate()) {
+            return Err(ScheduleError::InvalidArchitecture(e.clone()));
         }
-
+        let analysis = dfg.analysis();
+        let mut st = State::new(self.arch, dfg, analysis, recorder)?;
+        // The order is topological, so every node is ready when reached.
+        for &i in analysis.order() {
+            st.schedule_node(dfg, i)?;
+        }
         Ok(st.finish())
+    }
+}
+
+/// What a scheduling pass keeps of the moves it commits.
+trait Recorder {
+    fn record_move(&mut self, m: Move);
+    fn record_op(&mut self, op: ScheduledOp, transport: OpTransport);
+}
+
+/// [`Scheduler::cost`]'s recorder: keeps nothing.
+impl Recorder for () {
+    fn record_move(&mut self, _: Move) {}
+    fn record_op(&mut self, _: ScheduledOp, _: OpTransport) {}
+}
+
+/// [`Scheduler::run`]'s recorder: keeps everything a [`Schedule`] holds.
+#[derive(Default)]
+struct Trace {
+    moves: Vec<Move>,
+    ops: Vec<ScheduledOp>,
+    transports: HashMap<usize, Vec<OpTransport>>,
+}
+
+impl Recorder for Trace {
+    fn record_move(&mut self, m: Move) {
+        self.moves.push(m);
+    }
+
+    fn record_op(&mut self, op: ScheduledOp, transport: OpTransport) {
+        self.transports.entry(op.fu).or_default().push(transport);
+        self.ops.push(op);
     }
 }
 
@@ -230,60 +380,62 @@ struct FuState {
     result_free_from: u32,
 }
 
-struct State<'a> {
+impl FuState {
+    /// Whether a unit in state `other` reaches exactly the same slots.
+    fn same_timing(&self, other: &FuState) -> bool {
+        self.last_trigger == other.last_trigger
+            && self.result_free_from == other.result_free_from
+            && self.kind.latency() == other.kind.latency()
+    }
+}
+
+struct State<'a, R> {
     arch: &'a Architecture,
     buses: Pool,
     rf_write: Vec<Pool>,
     rf_read: Vec<Pool>,
     imm_out: Vec<Pool>,
-    imm_units: Vec<usize>,
-    fu_of_class: HashMap<FuClass, Vec<usize>>,
+    /// FU indices by class, indexed by `FuClass as usize`.
+    fu_of_class: [Vec<usize>; 5],
     fu_state: Vec<FuState>,
     place: Vec<Place>,
     remaining_reads: Vec<u32>,
     resident: Vec<u32>,
-    is_output: Vec<bool>,
-    moves: Vec<Move>,
-    ops: Vec<ScheduledOp>,
-    transports: HashMap<usize, Vec<OpTransport>>,
+    is_output: &'a [bool],
+    recorder: R,
     spills: u32,
     makespan: u32,
     next_rf: usize,
 }
 
-impl<'a> State<'a> {
-    fn new(arch: &'a Architecture, dfg: &Dfg) -> Result<Self, ScheduleError> {
-        let mut fu_of_class: HashMap<FuClass, Vec<usize>> = HashMap::new();
-        let mut imm_units = Vec::new();
+impl<'a, R: Recorder> State<'a, R> {
+    fn new(
+        arch: &'a Architecture,
+        dfg: &Dfg,
+        analysis: &'a DfgAnalysis,
+        recorder: R,
+    ) -> Result<Self, ScheduleError> {
+        let mut fu_of_class: [Vec<usize>; 5] = Default::default();
         for (i, fu) in arch.fus().iter().enumerate() {
             let class = match fu.kind {
                 FuKind::Alu => FuClass::Alu,
                 FuKind::Cmp => FuClass::Cmp,
                 FuKind::Mul => FuClass::Mul,
                 FuKind::LdSt => FuClass::LdSt,
-                FuKind::Immediate => {
-                    imm_units.push(i);
-                    FuClass::Imm
-                }
+                FuKind::Immediate => FuClass::Imm,
                 FuKind::Pc => continue,
             };
-            fu_of_class.entry(class).or_default().push(i);
+            fu_of_class[class as usize].push(i);
         }
-        // Comparisons may fall back to the ALU when no CMP unit exists?
-        // No — the paper's templates always include the needed units; we
-        // report MissingFu instead so the exploration can skip the point.
-        for node in dfg.nodes() {
-            if let Some(class) = node.op.fu_class() {
-                let covered = match class {
-                    FuClass::Imm => !imm_units.is_empty(),
-                    _ => fu_of_class.get(&class).is_some_and(|v| !v.is_empty()),
-                };
-                if !covered {
-                    return Err(ScheduleError::MissingFu(class));
-                }
-            }
+        // The paper's templates always include the needed units; a
+        // missing one is reported so the exploration can skip the point.
+        if let Some(&class) = analysis
+            .fu_classes()
+            .iter()
+            .find(|&&c| fu_of_class[c as usize].is_empty())
+        {
+            return Err(ScheduleError::MissingFu(class));
         }
-        let consumers = dfg.consumers();
         let n = dfg.nodes().len();
         let mut st = State {
             arch,
@@ -291,7 +443,6 @@ impl<'a> State<'a> {
             rf_write: arch.rfs().iter().map(|r| Pool::new(r.nin())).collect(),
             rf_read: arch.rfs().iter().map(|r| Pool::new(r.nout())).collect(),
             imm_out: arch.fus().iter().map(|_| Pool::new(1)).collect(),
-            imm_units,
             fu_of_class,
             fu_state: arch
                 .fus()
@@ -303,18 +454,10 @@ impl<'a> State<'a> {
                 })
                 .collect(),
             place: vec![Place::Void; n],
-            remaining_reads: consumers.iter().map(|c| c.len() as u32).collect(),
+            remaining_reads: analysis.read_counts().to_vec(),
             resident: vec![0; arch.rfs().len()],
-            is_output: {
-                let mut v = vec![false; n];
-                for o in dfg.outputs() {
-                    v[o.index()] = true;
-                }
-                v
-            },
-            moves: Vec::new(),
-            ops: Vec::new(),
-            transports: HashMap::new(),
+            is_output: analysis.is_output(),
+            recorder,
             spills: 0,
             makespan: 0,
             next_rf: 0,
@@ -337,6 +480,10 @@ impl<'a> State<'a> {
         Ok(st)
     }
 
+    fn imm_units(&self) -> &[usize] {
+        &self.fu_of_class[FuClass::Imm as usize]
+    }
+
     fn pick_rf(&mut self) -> usize {
         // Prefer an RF with spare capacity; otherwise round-robin.
         let n = self.arch.rfs().len();
@@ -352,6 +499,14 @@ impl<'a> State<'a> {
         rf
     }
 
+    /// Earliest cycle `v` can be read at.
+    fn arg_lower(&self, v: ValueId) -> u32 {
+        match self.place[v.index()] {
+            Place::Rf { available, .. } => available,
+            Place::Imm | Place::Void => 1,
+        }
+    }
+
     /// Is a read of `v` possible at `cycle` (source port + bus)?
     fn read_feasible(&self, v: ValueId, cycle: u32) -> bool {
         if !self.buses.free_at(cycle) {
@@ -360,7 +515,7 @@ impl<'a> State<'a> {
         match self.place[v.index()] {
             Place::Rf { rf, available } => cycle >= available && self.rf_read[rf].free_at(cycle),
             Place::Imm => self
-                .imm_units
+                .imm_units()
                 .iter()
                 .any(|&u| self.imm_out[u].free_at(cycle)),
             Place::Void => false,
@@ -381,7 +536,7 @@ impl<'a> State<'a> {
             }
             Place::Imm => {
                 let unit = *self
-                    .imm_units
+                    .imm_units()
                     .iter()
                     .find(|&&u| self.imm_out[u].free_at(cycle))
                     .expect("read_feasible checked an imm unit is free");
@@ -390,7 +545,7 @@ impl<'a> State<'a> {
             }
             Place::Void => unreachable!("reads of void values are rejected earlier"),
         };
-        self.moves.push(Move {
+        self.recorder.record_move(Move {
             cycle,
             src,
             dst,
@@ -408,33 +563,46 @@ impl<'a> State<'a> {
         if class == FuClass::Imm {
             return Ok(()); // constants materialise at read time
         }
-        let candidates: Vec<usize> = self.fu_of_class[&class].clone();
+        let args_lb = node.args.iter().map(|&a| self.arg_lower(a)).max();
 
-        // Earliest availability of each argument.
-        let arg_avail = |st: &State, v: ValueId| -> u32 {
-            match st.place[v.index()] {
-                Place::Rf { available, .. } => available,
-                Place::Imm => 1,
-                Place::Void => 1,
-            }
-        };
-
-        // Pick the FU reaching the earliest trigger cycle.
+        // Pick the FU reaching the earliest trigger cycle; ties go to the
+        // first candidate. Both skips below are exact: a skipped unit
+        // could at best tie with a unit already tried.
+        let candidates = &self.fu_of_class[class as usize];
         let mut best: Option<(u32, Option<u32>, usize)> = None; // (t, o, fu)
-        for &fu in &candidates {
+        let mut tried = 0u64; // candidate positions searched (the first 64)
+        for (k, &fu) in candidates.iter().enumerate() {
             let fs = &self.fu_state[fu];
             let lat = fs.kind.latency();
-            let mut lb = fs
+            let lb = fs
                 .last_trigger
                 .map_or(1, |t| t + 1)
                 .max(fs.result_free_from.saturating_sub(lat) + 1)
-                .max(1);
-            for a in &node.args {
-                lb = lb.max(arg_avail(self, *a));
+                .max(args_lb.unwrap_or(1));
+            // No trigger cycle below the bound can beat the best found.
+            if best.is_some_and(|(t, _, _)| lb >= t) {
+                continue;
             }
-            let found = self.find_slots(node, lb, fu)?;
-            if best.is_none() || found.0 < best.as_ref().unwrap().0 {
-                best = Some((found.0, found.1, fu));
+            // A unit in the same state as one already searched reaches
+            // the same slots. (A unit equal to a skipped one is skipped
+            // by the same rule that skipped it.)
+            let mut earlier = tried;
+            while earlier != 0 {
+                let j = earlier.trailing_zeros() as usize;
+                if self.fu_state[candidates[j]].same_timing(fs) {
+                    break;
+                }
+                earlier &= earlier - 1;
+            }
+            if earlier != 0 {
+                continue;
+            }
+            let (t, o) = self.find_slots(node, lb, fu)?;
+            if k < 64 {
+                tried |= 1 << k;
+            }
+            if best.is_none_or(|(bt, _, _)| t < bt) {
+                best = Some((t, o, fu));
             }
         }
         let (c_t, c_o, fu) = best.expect("at least one candidate FU");
@@ -456,11 +624,6 @@ impl<'a> State<'a> {
         let lat = self.fu_state[fu].kind.latency();
         let r = c_t + lat;
         self.fu_state[fu].last_trigger = Some(c_t);
-        self.ops.push(ScheduledOp {
-            node: i,
-            fu,
-            trigger: c_t,
-        });
 
         // Result move into an RF (when the value is used or is a live-out).
         let needs_result =
@@ -468,15 +631,9 @@ impl<'a> State<'a> {
         let fout;
         if needs_result {
             let rf = self.pick_rf();
-            let mut w = r + 1;
-            loop {
-                if self.buses.free_at(w) && self.rf_write[rf].free_at(w) {
-                    break;
-                }
-                w += 1;
-                if w > r + SEARCH_LIMIT {
-                    return Err(ScheduleError::ResourceDeadlock);
-                }
+            let w = next_free_in_both(&self.buses, &self.rf_write[rf], r + 1);
+            if w > r + SEARCH_LIMIT {
+                return Err(ScheduleError::ResourceDeadlock);
             }
             self.buses.take(w);
             self.rf_write[rf].take(w);
@@ -488,7 +645,7 @@ impl<'a> State<'a> {
                 rf,
                 available: w + 1,
             };
-            self.moves.push(Move {
+            self.recorder.record_move(Move {
                 cycle: w,
                 src: Endpoint::FuResult(fu),
                 dst: Endpoint::RfWrite(rf),
@@ -509,63 +666,94 @@ impl<'a> State<'a> {
             (Some(o), 2) => o.min(c_t) - 1,
             _ => c_t - 1,
         };
-        self.transports.entry(fu).or_default().push(OpTransport {
+        let op = ScheduledOp {
+            node: i,
+            fu,
+            trigger: c_t,
+        };
+        let transport = OpTransport {
             o: if node.args.len() == 2 { c_o } else { None },
             t: c_t,
             r,
             fin,
             fout,
-        });
+        };
+        self.recorder.record_op(op, transport);
         Ok(())
     }
 
     /// Finds the earliest `(trigger, operand)` cycles from `lb` on `fu`.
+    ///
+    /// For each candidate trigger cycle the operand move takes the
+    /// latest feasible cycle ≤ the trigger, at or after the previous
+    /// trigger (relation 5). Below the trigger cycle that choice does not
+    /// depend on the trigger, so the operand window is searched once,
+    /// growing with it; only the shared cycle needs the pairwise check.
+    /// Both scans jump over cycles whose buses or source ports are full.
     fn find_slots(
         &self,
         node: &crate::ir::Node,
         lb: u32,
         fu: usize,
     ) -> Result<(u32, Option<u32>), ScheduleError> {
+        let (operand, trigger) = match node.args[..] {
+            [] => return Ok((lb, None)),
+            [t] => (None, t),
+            [o, t] => (Some(o), t),
+            _ => unreachable!("IR ops have at most 2 args"),
+        };
         let last_t = self.fu_state[fu].last_trigger.map_or(0, |t| t + 1);
-        for c_t in lb..lb + SEARCH_LIMIT {
-            match node.args.len() {
-                0 => return Ok((c_t, None)),
-                1 => {
-                    if self.read_feasible(node.args[0], c_t) {
-                        return Ok((c_t, None));
-                    }
+        let lo = operand.map_or(0, |o| last_t.max(self.arg_lower(o)));
+        // Operand cycles below `scanned` are searched; `below` is the
+        // latest feasible one among them.
+        let mut scanned = lo;
+        let mut below = None;
+        let end = lb + SEARCH_LIMIT;
+        let mut c_t = self.next_read_slot(trigger, lb);
+        while c_t < end {
+            if self.read_feasible(trigger, c_t) {
+                let Some(o) = operand else {
+                    return Ok((c_t, None));
+                };
+                if self.pair_feasible(o, c_t, trigger, c_t) {
+                    return Ok((c_t, Some(c_t)));
                 }
-                2 => {
-                    if !self.read_feasible(node.args[1], c_t) {
-                        continue;
+                let mut c = c_t;
+                while let Some(p) = c
+                    .checked_sub(1)
+                    .and_then(|c| self.prev_read_slot(o, c))
+                    .filter(|&p| p >= scanned)
+                {
+                    if self.read_feasible(o, p) {
+                        below = Some(p);
+                        break;
                     }
-                    // Operand move: latest feasible cycle ≤ c_t, strictly
-                    // after the previous trigger (relation 5). Same-cycle
-                    // needs two bus slots; `read_feasible` already checks
-                    // slot counts, but both reads landing on one cycle must
-                    // not exceed them — check pairwise.
-                    let lo = last_t.max(arg_lower(self, node.args[0]));
-                    let mut c_o = c_t;
-                    while c_o >= lo {
-                        if self.pair_feasible(node.args[0], c_o, node.args[1], c_t) {
-                            return Ok((c_t, Some(c_o)));
-                        }
-                        if c_o == 0 {
-                            break;
-                        }
-                        c_o -= 1;
-                    }
+                    c = p;
                 }
-                _ => unreachable!(),
+                scanned = c_t;
+                if below.is_some() {
+                    return Ok((c_t, below));
+                }
             }
+            c_t = self.next_read_slot(trigger, c_t + 1);
         }
-        return Err(ScheduleError::ResourceDeadlock);
+        Err(ScheduleError::ResourceDeadlock)
+    }
 
-        fn arg_lower(st: &State, v: ValueId) -> u32 {
-            match st.place[v.index()] {
-                Place::Rf { available, .. } => available,
-                _ => 1,
-            }
+    /// The first cycle from `from` with a bus slot and, for a value in a
+    /// register file, a read port of it left.
+    fn next_read_slot(&self, v: ValueId, from: u32) -> u32 {
+        match self.place[v.index()] {
+            Place::Rf { rf, .. } => next_free_in_both(&self.buses, &self.rf_read[rf], from),
+            _ => self.buses.next_free(from),
+        }
+    }
+
+    /// [`Self::next_read_slot`] searching downwards.
+    fn prev_read_slot(&self, v: ValueId, from: u32) -> Option<u32> {
+        match self.place[v.index()] {
+            Place::Rf { rf, .. } => prev_free_in_both(&self.buses, &self.rf_read[rf], from),
+            _ => self.buses.prev_free(from),
         }
     }
 
@@ -578,18 +766,16 @@ impl<'a> State<'a> {
             return true;
         }
         // Same cycle: need two bus slots and distinct port capacity.
-        let bus_used = self.buses.used.get(ca as usize).copied().unwrap_or(0);
-        if u32::from(bus_used) + 2 > self.arch.bus_count() as u32 {
+        if u32::from(self.buses.used_at(ca)) + 2 > self.arch.bus_count() as u32 {
             return false;
         }
         match (self.place[a.index()], self.place[b.index()]) {
             (Place::Rf { rf: ra, .. }, Place::Rf { rf: rb, .. }) if ra == rb => {
-                let used = self.rf_read[ra].used.get(ca as usize).copied().unwrap_or(0);
-                u32::from(used) + 2 <= self.arch.rfs()[ra].nout() as u32
+                u32::from(self.rf_read[ra].used_at(ca)) + 2 <= self.arch.rfs()[ra].nout() as u32
             }
             (Place::Imm, Place::Imm) => {
                 // Need two distinct free immediate units.
-                self.imm_units
+                self.imm_units()
                     .iter()
                     .filter(|&&u| self.imm_out[u].free_at(ca))
                     .count()
@@ -599,16 +785,14 @@ impl<'a> State<'a> {
         }
     }
 
-    fn finish(self) -> Schedule {
+    fn finish(self) -> (ScheduleCost, R) {
         let makespan = self.makespan + 1;
-        Schedule {
+        let cost = ScheduleCost {
             cycles: makespan + self.spills * SPILL_PENALTY_CYCLES,
             makespan,
-            moves: self.moves,
-            ops: self.ops,
             spills: self.spills,
-            transports: self.transports,
-        }
+        };
+        (cost, self.recorder)
     }
 }
 

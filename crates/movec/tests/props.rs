@@ -1,15 +1,22 @@
 //! Property-based tests: random DFGs always schedule on valid machines,
 //! schedules respect the paper's transport-timing relations, and resource
-//! monotonicity holds (more buses never hurt).
+//! monotonicity holds (more buses never hurt). The scheduler's per-DFG
+//! analysis is topological and follows every mutation, and the bus
+//! pool's free-cycle jumps agree with a cycle-by-cycle scan.
 
 use proptest::prelude::*;
 use tta_arch::template::TemplateBuilder;
 use tta_arch::{validate_relations, FuKind};
 use tta_movec::ir::{Dfg, Op, ValueId};
-use tta_movec::schedule::Scheduler;
+use tta_movec::schedule::{Pool, Scheduler};
 
 /// Builds a random (but valid) ALU/CMP-only DFG from proptest choices.
 fn build_dfg(ops: &[(u8, u8, u8, u64)]) -> Dfg {
+    build_dfg_values(ops).0
+}
+
+/// [`build_dfg`], also returning every value it defined.
+fn build_dfg_values(ops: &[(u8, u8, u8, u64)]) -> (Dfg, Vec<ValueId>) {
     let mut dfg = Dfg::new(16);
     let mut values: Vec<ValueId> = vec![dfg.input(), dfg.input()];
     for &(kind, a_sel, b_sel, cval) in ops {
@@ -29,7 +36,7 @@ fn build_dfg(ops: &[(u8, u8, u8, u64)]) -> Dfg {
     }
     let out = *values.last().expect("non-empty");
     dfg.mark_output(out);
-    dfg
+    (dfg, values)
 }
 
 fn machine(buses: usize, alus: usize, regs: usize) -> tta_arch::Architecture {
@@ -107,5 +114,82 @@ proptest! {
         let r1 = dfg.eval(&[a, b], &mut [0u64; 4]);
         let r2 = dfg.eval(&[a, b], &mut [0u64; 4]);
         prop_assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn cached_order_is_topological(
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), 0u64..0xFFFF), 1..60),
+    ) {
+        let dfg = build_dfg(&ops);
+        let order = dfg.analysis().order();
+        let mut position = vec![usize::MAX; dfg.nodes().len()];
+        for (k, &i) in order.iter().enumerate() {
+            prop_assert_eq!(position[i], usize::MAX, "node {} listed twice", i);
+            position[i] = k;
+        }
+        prop_assert!(position.iter().all(|&p| p != usize::MAX), "order misses a node");
+        for (i, node) in dfg.nodes().iter().enumerate() {
+            for a in &node.args {
+                prop_assert!(position[a.index()] < position[i], "{} after its consumer {}", a, i);
+            }
+        }
+    }
+
+    #[test]
+    fn cached_analysis_follows_mutations_of_a_clone(
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), 0u64..0xFFFF), 1..30),
+        extra in (any::<u8>(), any::<u8>()),
+        mark in any::<u8>(),
+        first_push in any::<bool>(),
+    ) {
+        let (dfg, values) = build_dfg_values(&ops);
+        let before = dfg.analysis().clone();
+        let a = values[extra.0 as usize % values.len()];
+        let b = values[extra.1 as usize % values.len()];
+        let out = values[mark as usize % values.len()];
+        // The same mutations on a graph whose analysis was never built.
+        let reference = |push: bool, mark: bool| {
+            let mut g = build_dfg(&ops);
+            if push {
+                g.op(Op::Xor, &[a, b]);
+            }
+            if mark {
+                g.mark_output(out);
+            }
+            g.analysis().clone()
+        };
+        // The clone carries the built analysis; each mutation must drop
+        // it, whichever comes first.
+        let mut grown = dfg.clone();
+        if first_push {
+            grown.op(Op::Xor, &[a, b]);
+            prop_assert_eq!(grown.analysis(), &reference(true, false));
+            grown.mark_output(out);
+        } else {
+            grown.mark_output(out);
+            prop_assert_eq!(grown.analysis(), &reference(false, true));
+            grown.op(Op::Xor, &[a, b]);
+        }
+        prop_assert_eq!(grown.analysis(), &reference(true, true));
+        prop_assert_eq!(dfg.analysis(), &before);
+    }
+
+    #[test]
+    fn pool_jumps_match_a_linear_scan(
+        takes in proptest::collection::vec(0u32..200, 0..400),
+        cap in 1usize..4,
+    ) {
+        let mut pool = Pool::new(cap);
+        for &c in &takes {
+            if pool.free_at(c) {
+                pool.take(c);
+            }
+        }
+        for q in 0u32..260 {
+            let next = (q..).find(|&c| pool.free_at(c)).expect("free past the end");
+            prop_assert_eq!(pool.next_free(q), next, "next_free({})", q);
+            let prev = (0..=q).rev().find(|&c| pool.free_at(c));
+            prop_assert_eq!(pool.prev_free(q), prev, "prev_free({})", q);
+        }
     }
 }

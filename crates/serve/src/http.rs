@@ -213,10 +213,12 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Propagates socket write failures.
     pub fn begin(mut stream: W, content_type: &str) -> std::io::Result<Self> {
-        write!(
-            stream,
+        // The whole head in one write: written in fragments, a peer that
+        // hangs up after the first one breaks the pipe mid-head.
+        let head = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-        )?;
+        );
+        stream.write_all(head.as_bytes())?;
         stream.flush()?;
         Ok(ChunkedWriter {
             stream,

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -132,6 +132,8 @@ struct ServerState {
     jobs: Mutex<HashMap<u64, JobRecord>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
+    /// Stream heads still to fail on purpose (the fault-suite hook).
+    failing_heads: AtomicUsize,
 }
 
 impl ServerState {
@@ -171,6 +173,7 @@ impl Server {
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
+            failing_heads: AtomicUsize::new(0),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -192,6 +195,15 @@ impl Server {
     /// Propagates the socket query failure.
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
         self.listener.local_addr()
+    }
+
+    /// Fault-injection hook: the next `n` streamed job responses fail
+    /// to write their head, exactly as if the client had hung up before
+    /// the first byte. The job is already admitted by then, so this
+    /// drives the admitted-but-unstreamed path deterministically.
+    #[doc(hidden)]
+    pub fn fail_next_stream_heads(&self, n: usize) {
+        self.state.failing_heads.store(n, Ordering::Release);
     }
 
     /// Serves until shutdown is requested, then drains: the queue
@@ -490,16 +502,19 @@ fn run_job(
         state.jobs().remove(&id);
         return write_error(w, 503, "Service Unavailable", "daemon is shutting down");
     }
-    let mut out = ChunkedWriter::begin(w.try_clone()?, "application/x-ndjson")?;
-    let mut line = json::object([("event", json::string("queued")), ("job", json::int(id))]);
-    line.push('\n');
-    let mut client_gone = out.chunk(line.as_bytes()).is_err();
-    // Drain events until the job reaches a terminal state. If the
+    // From here on every way out — an error, a hung-up client, a
+    // panic — cancels the job rather than leave it running for no one.
+    let _cancel_on_exit = CancelOnDrop(cancel.clone());
+    let mut out = begin_stream(w, state)?;
+    let mut queued = json::object([("event", json::string("queued")), ("job", json::int(id))]);
+    queued.push('\n');
+    let events = std::iter::from_fn(|| rx.recv().ok().map(|event| render_event(id, &event)));
+    // Forward events until the job reaches a terminal state. If the
     // client hangs up mid-stream, cancel the job cooperatively but keep
     // draining so the record still lands in a terminal state — the
     // checkpoint stays resumable.
-    while let Ok(event) = rx.recv() {
-        let (line, terminal) = render_event(id, &event);
+    let mut client_gone = false;
+    for (line, terminal) in std::iter::once((queued, false)).chain(events) {
         if !client_gone && out.chunk(line.as_bytes()).is_err() {
             client_gone = true;
             cancel.cancel();
@@ -512,6 +527,32 @@ fn run_job(
         let _ = out.finish();
     }
     Ok(())
+}
+
+/// Cancels a job when dropped. Cancelling a job that already finished
+/// is a no-op, so the guard needs no disarming.
+struct CancelOnDrop(CancelToken);
+
+impl Drop for CancelOnDrop {
+    fn drop(&mut self) {
+        self.0.cancel();
+    }
+}
+
+/// Writes the streaming response head, or fails it on purpose while
+/// [`Server::fail_next_stream_heads`] has failures left.
+fn begin_stream(w: &TcpStream, state: &ServerState) -> std::io::Result<ChunkedWriter<TcpStream>> {
+    let injected = state
+        .failing_heads
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+        .is_ok();
+    if injected {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::BrokenPipe,
+            "injected stream-head failure",
+        ));
+    }
+    ChunkedWriter::begin(w.try_clone()?, "application/x-ndjson")
 }
 
 /// Renders one event as an NDJSON line; the bool marks terminal events.

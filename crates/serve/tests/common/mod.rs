@@ -19,7 +19,11 @@ pub struct Daemon {
 
 /// Boots a daemon on `127.0.0.1:0` with `workers` workers over `cache`.
 pub fn start(workers: usize, cache: SweepCache) -> Daemon {
-    let server = Server::bind("127.0.0.1:0", workers, cache).expect("bind ephemeral port");
+    serve(Server::bind("127.0.0.1:0", workers, cache).expect("bind ephemeral port"))
+}
+
+/// Runs an already bound (and possibly fault-armed) `server`.
+pub fn serve(server: Server) -> Daemon {
     let addr = server.local_addr().expect("bound address").to_string();
     let handle = std::thread::spawn(move || server.run());
     Daemon { addr, handle }

@@ -10,10 +10,11 @@ use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-use common::{http_get, local_output, start, tiny_spec};
+use common::{http_get, local_output, serve, start, tiny_spec};
 use tta_core::cache::{SweepCache, CACHE_FILE_NAME};
 use tta_serve::client::{control, run_remote};
 use tta_serve::jsonparse::Json;
+use tta_serve::server::Server;
 use tta_serve::spec::{Format, JobSpec, Strategy};
 
 /// A job slow enough (thousands of points sampled from the huge space,
@@ -327,6 +328,37 @@ fn a_client_vanishing_mid_stream_cancels_its_job_cooperatively() {
 
     // The daemon shrugged it off: healthy, and a fresh client gets a
     // complete run.
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    let summary = run_remote(&daemon.addr, &tiny_spec(), &mut out, &mut err)
+        .expect("daemon still serves jobs");
+    assert!(!summary.cancelled);
+    daemon.stop().expect("clean shutdown");
+}
+
+#[test]
+fn a_failed_stream_head_cancels_the_admitted_job() {
+    // The head write fails after admission, before the client saw a
+    // byte. The job must be cancelled, not left running for no one: a
+    // single worker makes a leaked job block the follow-up run.
+    let server = Server::bind("127.0.0.1:0", 1, SweepCache::in_memory()).expect("bind");
+    server.fail_next_stream_heads(1);
+    let daemon = serve(server);
+    let answer = raw_post(&daemon.addr, "/run", &long_spec().to_json());
+    assert!(answer.is_empty(), "no head was written: {answer:?}");
+
+    assert!(
+        wait_for_state(&daemon.addr, 1, "cancelled", Duration::from_secs(30)),
+        "the job whose stream never started should be cancelled"
+    );
+    let jobs = http_get(&daemon.addr, "/jobs");
+    let record = &jobs.as_arr().expect("jobs array")[0];
+    assert_eq!(
+        record.get("resumable").and_then(Json::as_bool),
+        Some(true),
+        "the cancelled job keeps its checkpoint"
+    );
+
+    // The hook is spent: the next client gets a complete run.
     let (mut out, mut err) = (Vec::new(), Vec::new());
     let summary = run_remote(&daemon.addr, &tiny_spec(), &mut out, &mut err)
         .expect("daemon still serves jobs");
