@@ -19,6 +19,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use tta_arch::template::TemplateSpace;
+use tta_core::cache::{EvalEntry, SweepCache};
 use tta_core::explore::{EvalMode, Exploration};
 use tta_core::models::{
     AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel, InterconnectModel,
@@ -53,6 +54,14 @@ struct ScheduleRow {
     infeasible: usize,
     run_us: f64,
     cost_us: f64,
+}
+
+struct CacheFlushRow {
+    from: usize,
+    to: usize,
+    flushes: usize,
+    ms_per_flush: f64,
+    bytes_per_flush: u64,
 }
 
 struct FidelityRow {
@@ -307,6 +316,92 @@ fn time_schedule(
     }
 }
 
+/// Chunk size of the cache-flush row: the sweep engine persists after
+/// every 64-point chunk.
+const FLUSH_CHUNK: usize = 64;
+
+/// Stores synthetic entry `i` in the shapes a sweep writes: mostly
+/// feasible evaluations over a three-member suite (every fourth with the
+/// inline full-lift test pair), some infeasible ones with and without a
+/// blamed workload, and every sixteenth a test lift.
+fn store_synthetic(cache: &SweepCache, i: u64) {
+    let mut state = i;
+    let key = splitmix(&mut state);
+    let r = splitmix(&mut state);
+    match i % 16 {
+        15 => cache.store_test(key, (r % 100_000) as f64 * 0.25),
+        7 | 11 => cache.store_eval(
+            key,
+            EvalEntry::Infeasible {
+                blocked: (i % 32 == 7).then_some((r % 3) as u32),
+            },
+        ),
+        _ => cache.store_eval(
+            key,
+            EvalEntry::Feasible {
+                cycles: r % 100_000,
+                workload_cycles: vec![r % 5000, (r >> 16) % 5000, (r >> 32) % 5000],
+                spills: (r >> 48) as u32 % 4,
+                area_bits: (1000.0 + (r % 100_000) as f64).to_bits(),
+                exec_bits: (((r >> 20) % 100_000) as f64).to_bits(),
+                test: (i % 4 == 1).then_some((0xfeed_f00d, ((r % 50_000) as f64).to_bits())),
+            },
+        ),
+    }
+}
+
+/// Grows an on-disk cache from `from` to `to` synthetic entries, one
+/// `FLUSH_CHUNK` at a time, as a chunked sweep persists over a seeded
+/// cache. Returns the cache and the seconds and bytes of the growth
+/// flushes (the seeding flush is not counted).
+fn grow_cache(dir: &std::path::Path, from: usize, to: usize) -> (SweepCache, f64, u64) {
+    let _ = std::fs::remove_dir_all(dir);
+    let cache = SweepCache::open(dir).expect("bench cache dir is writable");
+    (0..from as u64).for_each(|i| store_synthetic(&cache, i));
+    cache.flush().expect("seeding flush");
+    let (mut secs, mut bytes) = (0.0, 0);
+    for chunk in (from..to).step_by(FLUSH_CHUNK) {
+        (chunk as u64..(chunk + FLUSH_CHUNK).min(to) as u64)
+            .for_each(|i| store_synthetic(&cache, i));
+        let start = Instant::now();
+        cache.flush().expect("chunk flush");
+        secs += start.elapsed().as_secs_f64();
+        bytes += std::fs::metadata(cache.path()).expect("flushed").len();
+    }
+    (cache, secs, bytes)
+}
+
+/// Times `SweepCache::flush` per chunk while a seeded cache grows from
+/// `from` to `to` entries. An untimed pass first asserts the chunk by
+/// chunk flushes leave the file byte-identical to one full render.
+fn time_cache_flush(from: usize, to: usize, iters: usize) -> CacheFlushRow {
+    eprintln!("flushing a cache growing from {from} to {to} entries...");
+    let scratch = std::env::temp_dir().join(format!("ttadse-bench-flush-{}", std::process::id()));
+    let (grown, _, bytes) = grow_cache(&scratch.join("grown"), from, to);
+    let full = scratch.join("full");
+    let _ = std::fs::remove_dir_all(&full);
+    let oracle = SweepCache::open(&full).expect("bench cache dir is writable");
+    (0..to as u64).for_each(|i| store_synthetic(&oracle, i));
+    oracle.flush().expect("full flush");
+    let read = |c: &SweepCache| std::fs::read(c.path()).expect("flushed file");
+    assert!(
+        read(&grown) == read(&oracle),
+        "chunked flushes must write the bytes of a full render"
+    );
+    let best = (0..iters.max(1))
+        .map(|_| grow_cache(&scratch.join("timed"), from, to).1)
+        .fold(f64::INFINITY, f64::min);
+    let _ = std::fs::remove_dir_all(&scratch);
+    let flushes = (to - from).div_ceil(FLUSH_CHUNK);
+    CacheFlushRow {
+        from,
+        to,
+        flushes,
+        ms_per_flush: best * 1e3 / flushes as f64,
+        bytes_per_flush: bytes / flushes as u64,
+    }
+}
+
 /// SplitMix64: a stable, dependency-free index stream for samples.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -476,6 +571,10 @@ fn main() {
         eprintln!("--space matched nothing (expected fast, paper or huge)");
         std::process::exit(2);
     }
+    // The cache-flush row belongs to no space: it runs under every
+    // filter, on synthetic entries sized like the perfbench Gray walk's
+    // last quarter.
+    let flush_row = time_cache_flush(6144, 8192, iters);
 
     println!("{{");
     println!("  \"bench\": \"dse\",");
@@ -509,7 +608,12 @@ fn main() {
          schedule rows time the movec list scheduler alone per (point, workload) schedule on a \
          seeded 500-point sample of the huge space against suite all: run_us builds the full move \
          schedule (lowering, simulation, ttadse sim), cost_us is the cycles-only path sweeps use \
-         (agreement on every pair asserted in an untimed pass).\","
+         (agreement on every pair asserted in an untimed pass). The cache_flush row times \
+         SweepCache::flush as a chunked sweep pays it: a cache seeded with 6144 synthetic entries \
+         grows to 8192 in 64-entry chunks, flushing after each; ms_per_flush is the best-of run's \
+         mean and bytes_per_flush the mean file size written (byte-identity of the chunked \
+         flushes to one full render asserted in an untimed pass). It belongs to no space and runs \
+         under every --space filter.\","
     );
     println!("  \"sweeps\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -573,6 +677,17 @@ fn main() {
             r.run_us / r.cost_us
         );
     }
+    println!("  ],");
+    println!("  \"cache_flush\": [");
+    println!(
+        "    {{ \"entries_from\": {}, \"entries_to\": {}, \"chunk\": {FLUSH_CHUNK}, \"flushes\": {}, \
+         \"ms_per_flush\": {:.3}, \"bytes_per_flush\": {} }}",
+        flush_row.from,
+        flush_row.to,
+        flush_row.flushes,
+        flush_row.ms_per_flush,
+        flush_row.bytes_per_flush
+    );
     println!("  ],");
     if keep("paper") {
         // Cold end-to-end: the annotation database (real ATPG + march

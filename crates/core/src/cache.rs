@@ -57,6 +57,25 @@
 //! newest entries may need re-evaluating later — again time, never
 //! correctness.
 //!
+//! # Flush cost
+//!
+//! A sweep flushes after every chunk, so a flush that re-read, re-rendered
+//! or re-sorted the whole cache would make persistence O(N²) over a
+//! large sweep. Neither happens on the common path: a `(len, mtime)`
+//! quick check skips re-parsing a file nobody else touched, and each
+//! store records its key as *pending*, so a flush renders and sorts only
+//! the pending entries and streams them, merged into the file's existing
+//! lines, to the new file. Every line starts with a fixed-width head
+//! (tag, space, 16 hex digits) that is unique per entry, so that merge
+//! yields exactly the bytes of a full sorted render. The existing lines
+//! are taken from the file itself, never kept in memory between
+//! flushes, and only while the quick check shows it is still this
+//! cache's own last write. The full render remains the fallback
+//! otherwise: the first flush after opening, after another writer
+//! changed the file, after [`SweepCache::invalidate`] and after a failed
+//! write. Only copying the existing lines through stays proportional to
+//! the cache size.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -288,6 +307,34 @@ fn shard_of(key: u64) -> usize {
     (key & (SHARDS as u64 - 1)) as usize
 }
 
+/// Length of every entry line's head: the tag, a space and the key as
+/// 16 lowercase hex digits. Heads are unique per `(Kind, key)` and sort
+/// in `(Kind, key)` order, so comparing heads orders whole lines.
+const HEAD_LEN: usize = 18;
+
+/// One lock shard: its entries, plus the keys stored since the last
+/// successful flush (the cache's dirty state — a flush renders only
+/// these when it can merge them into its own last write).
+#[derive(Debug, Default)]
+struct Shard {
+    entries: HashMap<(Kind, u64), Entry>,
+    pending: Vec<(Kind, u64)>,
+}
+
+/// What the cache knows about its file, guarded as one unit by the
+/// flush.
+#[derive(Debug, Default)]
+struct Persisted {
+    /// `(len, mtime)` of the file as of the last load or flush — an
+    /// rsync-style quick check so chunked flushes skip re-parsing a
+    /// file nobody else has touched.
+    sig: Option<(u64, std::time::SystemTime)>,
+    /// Whether the file at `sig` is this cache's own last flush, and so
+    /// renders every entry except the pending ones. `false` makes the
+    /// next flush a full render.
+    own_write: bool,
+}
+
 /// A persistent, thread-safe evaluation cache (see the [module
 /// docs](self) for the design and the on-disk format).
 ///
@@ -302,13 +349,12 @@ fn shard_of(key: u64) -> usize {
 #[derive(Debug)]
 pub struct SweepCache {
     path: PathBuf,
-    shards: [Mutex<HashMap<(Kind, u64), Entry>>; SHARDS],
-    dirty: std::sync::atomic::AtomicBool,
-    /// `(len, mtime)` of the on-disk file as of the last load or flush —
-    /// an rsync-style quick check so chunked flushes skip re-parsing a
-    /// file nobody else has touched (re-reading a growing file every
-    /// chunk would make persistence O(N²) over a large sweep).
-    disk_state: Mutex<Option<(u64, std::time::SystemTime)>>,
+    shards: [Mutex<Shard>; SHARDS],
+    /// File quick-check signature and ownership. Re-parsing a growing
+    /// file, or re-rendering every entry, on each chunk's flush would
+    /// make persistence O(N²) over a large sweep; this state lets a
+    /// flush do neither (see the [module docs](self)).
+    persisted: Mutex<Persisted>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Counted *lookup operations* (lock acquisitions for reading), as
@@ -316,6 +362,8 @@ pub struct SweepCache {
     /// keys is 1 read but 64 hit/miss counts. Regression guard for the
     /// sweep loop's access pattern — see [`SweepCache::reads`].
     reads: AtomicU64,
+    /// Entry lines rendered by flushes — see [`SweepCache::rendered`].
+    rendered: AtomicU64,
 }
 
 /// Quick-check signature of the file at `path`.
@@ -341,7 +389,7 @@ impl SweepCache {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let path = dir.join(CACHE_FILE_NAME);
-        let (entries, disk_state) = match load_entries(&path, HEADER) {
+        let (entries, sig) = match load_entries(&path, HEADER) {
             Some(entries) => (entries, stat_sig(&path)),
             None => match load_entries(&dir.join(LEGACY_CACHE_FILE_NAME), LEGACY_HEADER) {
                 // Upgrade path: the legacy entries live in memory only
@@ -351,19 +399,22 @@ impl SweepCache {
                 None => (HashMap::new(), None),
             },
         };
-        let mut shards: [HashMap<(Kind, u64), Entry>; SHARDS] =
-            std::array::from_fn(|_| HashMap::new());
+        let mut shards: [Shard; SHARDS] = std::array::from_fn(|_| Shard::default());
         for (k, v) in entries {
-            shards[shard_of(k.1)].insert(k, v);
+            shards[shard_of(k.1)].entries.insert(k, v);
         }
         Ok(SweepCache {
             path,
             shards: shards.map(Mutex::new),
-            dirty: std::sync::atomic::AtomicBool::new(false),
-            disk_state: Mutex::new(disk_state),
+            // Not our write: the first flush renders in full.
+            persisted: Mutex::new(Persisted {
+                sig,
+                own_write: false,
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             reads: AtomicU64::new(0),
+            rendered: AtomicU64::new(0),
         })
     }
 
@@ -373,12 +424,12 @@ impl SweepCache {
     pub fn in_memory() -> SweepCache {
         SweepCache {
             path: PathBuf::new(),
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            dirty: std::sync::atomic::AtomicBool::new(false),
-            disk_state: Mutex::new(None),
+            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
+            persisted: Mutex::new(Persisted::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             reads: AtomicU64::new(0),
+            rendered: AtomicU64::new(0),
         }
     }
 
@@ -388,15 +439,27 @@ impl SweepCache {
     /// panic), so a poisoned guard's contents are safe to keep serving.
     /// Without this, one panicking job in a long-lived daemon would
     /// permanently wedge every later job on `PoisonError`.
-    fn shard(&self, i: usize) -> MutexGuard<'_, HashMap<(Kind, u64), Entry>> {
+    fn shard(&self, i: usize) -> MutexGuard<'_, Shard> {
         self.shards[i]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Locks the shard owning `key`.
-    fn shard_for(&self, key: u64) -> MutexGuard<'_, HashMap<(Kind, u64), Entry>> {
-        self.shard(shard_of(key))
+    /// Looks up `key` in its owning shard, mapping the entry under that
+    /// shard's lock.
+    fn with_entry<R>(&self, key: (Kind, u64), f: impl FnOnce(Option<&Entry>) -> R) -> R {
+        f(self.shard(shard_of(key.1)).entries.get(&key))
+    }
+
+    /// Inserts under the owning shard's lock and, for a disk-backed
+    /// cache, records the key as pending for the next flush. (An
+    /// in-memory cache never flushes, so it keeps no pending list.)
+    fn store(&self, key: (Kind, u64), entry: Entry) {
+        let mut shard = self.shard(shard_of(key.1));
+        shard.entries.insert(key, entry);
+        if !self.path.as_os_str().is_empty() {
+            shard.pending.push(key);
+        }
     }
 
     /// The on-disk file this cache persists to (empty for
@@ -409,10 +472,10 @@ impl SweepCache {
     /// the operation counts as one read.
     pub fn lookup_eval(&self, key: u64) -> Option<EvalEntry> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let found = match self.shard_for(key).get(&(Kind::Eval, key)) {
+        let found = self.with_entry((Kind::Eval, key), |e| match e {
             Some(Entry::Eval(e)) => Some(e.clone()),
             _ => None,
-        };
+        });
         self.count(found.is_some());
         found
     }
@@ -440,7 +503,7 @@ impl SweepCache {
             }
             let shard = self.shard(i);
             for &pos in positions {
-                if let Some(Entry::Eval(e)) = shard.get(&(Kind::Eval, keys[pos])) {
+                if let Some(Entry::Eval(e)) = shard.entries.get(&(Kind::Eval, keys[pos])) {
                     hits += 1;
                     out[pos] = Some(e.clone());
                 }
@@ -457,10 +520,7 @@ impl SweepCache {
     /// component keys still need pre-warming) that precede the counted
     /// lookup.
     pub fn contains_eval(&self, key: u64) -> bool {
-        matches!(
-            self.shard_for(key).get(&(Kind::Eval, key)),
-            Some(Entry::Eval(_))
-        )
+        self.with_entry((Kind::Eval, key), |e| matches!(e, Some(Entry::Eval(_))))
     }
 
     /// Whether `key` holds an evaluation that a *full-lift* sweep
@@ -472,50 +532,43 @@ impl SweepCache {
     /// pass, where an entry missing its test field still needs its
     /// component keys annotated.
     pub fn contains_eval_with_test(&self, key: u64, test_fp: u64) -> bool {
-        match self.shard_for(key).get(&(Kind::Eval, key)) {
+        self.with_entry((Kind::Eval, key), |e| match e {
             Some(Entry::Eval(EvalEntry::Infeasible { .. })) => true,
             Some(Entry::Eval(EvalEntry::Feasible {
                 test: Some((fp, _)),
                 ..
             })) => *fp == test_fp,
             _ => false,
-        }
+        })
     }
 
     /// Whether a test-cost lift for `key` is present, *without* touching
     /// the hit/miss counters — the lift-stage mirror of
     /// [`SweepCache::contains_eval`].
     pub fn contains_test(&self, key: u64) -> bool {
-        matches!(
-            self.shard_for(key).get(&(Kind::Test, key)),
-            Some(Entry::Test(_))
-        )
+        self.with_entry((Kind::Test, key), |e| matches!(e, Some(Entry::Test(_))))
     }
 
     /// Stores a sweep evaluation (in memory; [`SweepCache::flush`]
     /// persists).
     pub fn store_eval(&self, key: u64, entry: EvalEntry) {
-        self.shard_for(key)
-            .insert((Kind::Eval, key), Entry::Eval(entry));
-        self.dirty.store(true, Ordering::Release);
+        self.store((Kind::Eval, key), Entry::Eval(entry));
     }
 
     /// Looks up a lifted test-cost total (exact bit pattern). One read.
     pub fn lookup_test(&self, key: u64) -> Option<f64> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let found = match self.shard_for(key).get(&(Kind::Test, key)) {
+        let found = self.with_entry((Kind::Test, key), |e| match e {
             Some(Entry::Test(bits)) => Some(f64::from_bits(*bits)),
             _ => None,
-        };
+        });
         self.count(found.is_some());
         found
     }
 
     /// Stores a lifted test-cost total.
     pub fn store_test(&self, key: u64, total: f64) {
-        self.shard_for(key)
-            .insert((Kind::Test, key), Entry::Test(total.to_bits()));
-        self.dirty.store(true, Ordering::Release);
+        self.store((Kind::Test, key), Entry::Test(total.to_bits()));
     }
 
     fn count(&self, hit: bool) {
@@ -548,11 +601,22 @@ impl SweepCache {
         self.reads.load(Ordering::Relaxed)
     }
 
+    /// Entry lines rendered by flushes since the cache was opened. A
+    /// flush renders only the entries stored since the previous one, so
+    /// over a cold sweep persisted chunk by chunk this equals the
+    /// number of stores; only the full-render fallbacks (see the
+    /// [module docs](self)) render entries again. A regression test
+    /// pins that, because a return to whole-cache renders per flush
+    /// makes persistence quadratic without changing a byte on disk.
+    pub fn rendered(&self) -> u64 {
+        self.rendered.load(Ordering::Relaxed)
+    }
+
     /// Number of entries currently held (evaluations + test lifts).
     /// Shards are counted one at a time, so the total is a consistent
     /// snapshot only when no writer is concurrently storing.
     pub fn len(&self) -> usize {
-        (0..SHARDS).map(|i| self.shard(i).len()).sum()
+        (0..SHARDS).map(|i| self.shard(i).entries.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -565,48 +629,64 @@ impl SweepCache {
     /// the union atomically (a per-process temp file + rename), so an
     /// interrupted or concurrent flush leaves a valid file intact.
     /// A no-op when nothing was stored since the last flush, so warm
-    /// re-runs never rewrite the file.
+    /// re-runs never rewrite the file. Only the entries stored since the
+    /// last flush are rendered, merged into the lines written then; the
+    /// file is byte-identical to a full sorted render either way (see
+    /// the [module docs](self)).
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`io::Error`] on write failure. In-memory
-    /// caches return `Ok(())` without touching disk.
+    /// Returns the underlying [`io::Error`] on write failure; every
+    /// stored entry stays pending, so a later flush persists it.
+    /// In-memory caches return `Ok(())` without touching disk.
     pub fn flush(&self) -> io::Result<()> {
-        if self.path.as_os_str().is_empty() || !self.dirty.load(Ordering::Acquire) {
+        if self.path.as_os_str().is_empty() {
             return Ok(());
         }
         // All shard locks are taken in index order (every whole-cache
         // operation uses this order, so two concurrent flushes cannot
         // deadlock) and held for the duration: the flushed file is a
         // consistent snapshot even while other jobs keep storing.
-        let mut shards: Vec<MutexGuard<'_, HashMap<(Kind, u64), Entry>>> =
-            (0..SHARDS).map(|i| self.shard(i)).collect();
-        let mut disk_state = self
-            .disk_state
+        let mut shards: Vec<MutexGuard<'_, Shard>> = (0..SHARDS).map(|i| self.shard(i)).collect();
+        if shards.iter().all(|s| s.pending.is_empty()) {
+            return Ok(());
+        }
+        let mut persisted = self
+            .persisted
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         // Merge from disk only when another writer has plausibly touched
-        // the file since we last read or wrote it.
-        if stat_sig(&self.path) != *disk_state {
+        // the file since we last read or wrote it. Merged entries are
+        // not pending, so the file no longer covers the cache.
+        let sig = stat_sig(&self.path);
+        if sig != persisted.sig {
+            persisted.own_write = false;
             if let Some(disk) = load_entries(&self.path, HEADER) {
                 for (k, v) in disk {
-                    shards[shard_of(k.1)].entry(k).or_insert(v);
+                    shards[shard_of(k.1)].entries.entry(k).or_insert(v);
                 }
             }
         }
-        let mut lines: Vec<String> = shards
-            .iter()
-            .flat_map(|shard| shard.iter().map(|(k, v)| render_line(k, v)))
-            .collect();
-        // Deterministic file contents: sort lines, not hash order.
-        lines.sort_unstable();
-        let mut body = String::with_capacity(lines.len() * 48 + HEADER.len() + 1);
-        body.push_str(HEADER);
-        body.push('\n');
-        for line in lines {
-            body.push_str(&line);
-            body.push('\n');
-        }
+        // Our own last write, still in place, lacks only the pending
+        // entries; otherwise every entry is rendered onto a bare header.
+        // Cleared until the rename succeeds: a failed write leaves the
+        // next flush a full render.
+        let own = std::mem::take(&mut persisted.own_write)
+            .then(|| fs::read_to_string(&self.path).ok())
+            .flatten()
+            .filter(|text| sig.is_some_and(|(len, _)| text.len() as u64 == len));
+        let (base, keys) = match own {
+            Some(text) => {
+                let pending = shards.iter().flat_map(|s| s.pending.iter().copied());
+                (text, pending.collect())
+            }
+            None => {
+                let all = shards.iter().flat_map(|s| s.entries.keys().copied());
+                (format!("{HEADER}\n"), all.collect())
+            }
+        };
+        let mut fresh = String::new();
+        self.render_sorted(&shards, keys, &mut fresh);
         // Unique temp name per flush: concurrent flushers (other
         // processes, or two instances in this one) must never interleave
         // writes into one temp file.
@@ -616,11 +696,43 @@ impl SweepCache {
             std::process::id(),
             FLUSH_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, body)?;
-        fs::rename(&tmp, &self.path)?;
-        self.dirty.store(false, Ordering::Release);
-        *disk_state = stat_sig(&self.path);
+        let written = fs::File::create(&tmp)
+            .and_then(|file| {
+                let mut out = io::BufWriter::with_capacity(1 << 16, file);
+                merge_by_head(&base, &fresh, &mut out)?;
+                out.into_inner().map_err(io::IntoInnerError::into_error)
+            })
+            .and_then(|_| fs::rename(&tmp, &self.path));
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
+        for shard in &mut shards {
+            shard.pending.clear();
+        }
+        persisted.sig = stat_sig(&self.path);
+        persisted.own_write = true;
         Ok(())
+    }
+
+    /// Appends the entries under `keys` to `out` as `\n`-terminated
+    /// lines in file order: sorting `(Kind, key)` sorts the lines, since
+    /// each line opens with its unique fixed-width head. Duplicate keys
+    /// (one key stored twice between flushes) render once.
+    fn render_sorted(
+        &self,
+        shards: &[MutexGuard<'_, Shard>],
+        mut keys: Vec<(Kind, u64)>,
+        out: &mut String,
+    ) {
+        keys.sort_unstable();
+        keys.dedup();
+        for key in &keys {
+            render_line(out, key, &shards[shard_of(key.1)].entries[key]);
+            out.push('\n');
+        }
+        self.rendered
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
     }
 
     /// Drops every entry, in memory and on disk.
@@ -631,13 +743,12 @@ impl SweepCache {
     /// but cannot be removed.
     pub fn invalidate(&self) -> io::Result<()> {
         for i in 0..SHARDS {
-            self.shard(i).clear();
+            *self.shard(i) = Shard::default();
         }
-        self.dirty.store(false, Ordering::Release);
         *self
-            .disk_state
+            .persisted
             .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
+            .unwrap_or_else(PoisonError::into_inner) = Persisted::default();
         if !self.path.as_os_str().is_empty() && self.path.exists() {
             fs::remove_file(&self.path)?;
         }
@@ -645,12 +756,39 @@ impl SweepCache {
     }
 }
 
+/// Writes to `out` the merge of `fresh` — whole `\n`-terminated entry
+/// lines, sorted — into `old`, a body a flush wrote (header line first,
+/// then sorted entry lines). Lines are ordered by their
+/// [`HEAD_LEN`]-byte heads; a fresh line replaces the old line with the
+/// same head. Old lines are copied through in runs, never re-rendered.
+fn merge_by_head(old: &str, fresh: &str, out: &mut impl io::Write) -> io::Result<()> {
+    let next_line = |at: usize| old[at..].find('\n').map_or(old.len(), |i| at + i + 1);
+    let bytes = old.as_bytes();
+    let head = |at: usize| bytes.get(at..at + HEAD_LEN);
+    // `copied` is where the next copy-through run starts; `at` is the
+    // start of the first old entry line not yet passed.
+    let mut copied = 0;
+    let mut at = next_line(0);
+    for line in fresh.split_inclusive('\n') {
+        let new_head = &line.as_bytes()[..HEAD_LEN];
+        while head(at).is_some_and(|h| h < new_head) {
+            at = next_line(at);
+        }
+        out.write_all(&bytes[copied..at])?;
+        if head(at) == Some(new_head) {
+            at = next_line(at);
+        }
+        copied = at;
+        out.write_all(line.as_bytes())?;
+    }
+    out.write_all(&bytes[copied..])
+}
+
 // ---------------------------------------------------------------------
 // Serialisation
 // ---------------------------------------------------------------------
 
-fn render_line(key: &(Kind, u64), entry: &Entry) -> String {
-    let mut s = String::new();
+fn render_line(s: &mut String, key: &(Kind, u64), entry: &Entry) {
     match entry {
         Entry::Eval(EvalEntry::Infeasible { blocked }) => {
             let _ = write!(s, "E {:016x} I", key.1);
@@ -684,7 +822,6 @@ fn render_line(key: &(Kind, u64), entry: &Entry) -> String {
             let _ = write!(s, "T {:016x} {bits:016x}", key.1);
         }
     }
-    s
 }
 
 /// Parses the cache file at `path`, expecting `header` on its first
@@ -927,7 +1064,53 @@ mod tests {
             cache.lookup_eval(1),
             Some(EvalEntry::Infeasible { blocked: None })
         );
+        // Once the target is writable again, the next flush persists
+        // the entry, though nothing new was stored since the failure.
+        fs::remove_dir(cache.path()).unwrap();
+        cache.flush().unwrap();
+        assert_eq!(SweepCache::open(&dir).unwrap().len(), 1);
+        // The same after incremental flushes: a failed flush must not
+        // lose the entries it failed to write.
+        cache.store_eval(2, sample_feasible());
+        cache.flush().unwrap();
+        cache.store_test(3, 1.5);
+        cache.flush().unwrap();
+        fs::remove_file(cache.path()).unwrap();
+        fs::create_dir(cache.path()).unwrap();
+        cache.store_eval(4, sample_feasible_with_test());
+        assert!(cache.flush().is_err());
+        fs::remove_dir(cache.path()).unwrap();
+        cache.flush().unwrap();
+        let reloaded = SweepCache::open(&dir).unwrap();
+        assert_eq!(reloaded.len(), 4);
+        assert_eq!(
+            reloaded.lookup_eval(1),
+            Some(EvalEntry::Infeasible { blocked: None })
+        );
+        assert_eq!(reloaded.lookup_eval(2), Some(sample_feasible()));
+        assert_eq!(reloaded.lookup_test(3), Some(1.5));
+        assert_eq!(reloaded.lookup_eval(4), Some(sample_feasible_with_test()));
+        let leftovers = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(leftovers, 1, "failed flushes leave no temp files behind");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_by_head_inserts_replaces_and_keeps_order() {
+        let merge_by_head = |old: &str, fresh: &str| {
+            let mut out = Vec::new();
+            super::merge_by_head(old, fresh, &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let old = "H\nE 0000000000000002 I\nE 0000000000000005 I 1\nT 0000000000000001 00\n";
+        let fresh = "E 0000000000000001 I\nE 0000000000000005 I\nT 0000000000000009 ff\n";
+        assert_eq!(
+            merge_by_head(old, fresh),
+            "H\nE 0000000000000001 I\nE 0000000000000002 I\nE 0000000000000005 I\n\
+             T 0000000000000001 00\nT 0000000000000009 ff\n"
+        );
+        assert_eq!(merge_by_head(old, ""), old);
+        assert_eq!(merge_by_head("H\n", fresh), format!("H\n{fresh}"));
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! Integration tests of the persistent sweep cache: warm-cache runs are
 //! bit-identical to cold ones (property-tested over workload/parallelism
 //! variations), corrupt or version-mismatched cache files degrade to a
-//! clean re-evaluation, and unfingerprintable models opt out safely.
+//! clean re-evaluation, unfingerprintable models opt out safely, and the
+//! incremental flush writes exactly the bytes of a full render.
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
-use tta_core::cache::{SweepCache, CACHE_FILE_NAME};
+use tta_core::cache::{EvalEntry, SweepCache, CACHE_FILE_NAME};
 use tta_core::explore::{Exploration, ExploreResult};
 use tta_core::models::AreaModel;
+use tta_core::search::Exhaustive;
 use tta_core::ComponentDb;
 use tta_workloads::suite;
 
@@ -336,4 +340,194 @@ fn cross_space_points_share_entries() {
         "no tiny point should re-evaluate (its front may still lift fresh test entries)"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cold_chunked_sweep_renders_each_stored_line_once() {
+    // Regression guard for the incremental flush: a 256-point walk
+    // persists four 64-point chunks plus the lifted front. Rendering the
+    // whole cache on every flush would render several times as many; the
+    // incremental flush renders each stored line exactly once.
+    let dir = tmpdir("rendered");
+    let cache = SweepCache::open(&dir).expect("temp dir is writable");
+    let w = suite::checksum32();
+    let result = Exploration::over(TemplateSpace::huge())
+        .workload(&w)
+        .with_db(db())
+        .strategy(Exhaustive::neighbour())
+        .budget(256)
+        .cache(&cache)
+        .run();
+    assert_eq!(result.search.evaluations, 256);
+    let stored = cache.len() as u64;
+    // Some walked points share a content address, so there are fewer
+    // entries than points.
+    assert!(eval_entries(&cache) > 3 * 64, "the walk spans four chunks");
+    assert_eq!(
+        cache.rendered(),
+        stored,
+        "each of the {stored} stored lines must be rendered once, not once per flush"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A model entry of the differential flush test.
+#[derive(Debug, Clone, PartialEq)]
+enum Model {
+    Eval(EvalEntry),
+    Test(f64),
+}
+
+/// Model key: `(is_test, key)`, so evaluations and test lifts of one
+/// address stay distinct, as in the cache.
+type ModelMap = BTreeMap<(bool, u64), Model>;
+
+/// Spreads a small index over the key space (and so over every shard
+/// and hex digit); a bijection, so distinct indices never collide.
+fn spread(i: u64) -> u64 {
+    (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// One evaluation entry of each shape, picked and filled from `seed`:
+/// feasible with and without the inline test pair, infeasible with and
+/// without a blamed workload.
+fn eval_entry(seed: u64) -> EvalEntry {
+    match seed % 4 {
+        0 | 1 => EvalEntry::Feasible {
+            cycles: seed >> 40,
+            workload_cycles: (0..(seed >> 3) % 4)
+                .map(|i| (seed >> (8 + i)) & 0xffff)
+                .collect(),
+            spills: ((seed >> 5) % 7) as u32,
+            area_bits: seed.rotate_left(7),
+            exec_bits: seed.rotate_left(19),
+            test: (seed % 4 == 1).then(|| (seed.rotate_left(31), seed ^ 0x5555)),
+        },
+        2 => EvalEntry::Infeasible { blocked: None },
+        _ => EvalEntry::Infeasible {
+            blocked: Some(((seed >> 4) % 9) as u32),
+        },
+    }
+}
+
+fn store(cache: &SweepCache, key: (bool, u64), value: &Model) {
+    match value {
+        Model::Eval(e) => cache.store_eval(key.1, e.clone()),
+        Model::Test(t) => cache.store_test(key.1, *t),
+    }
+}
+
+/// The bytes a *full* render of `entries` produces: a fresh cache in a
+/// scratch directory, every entry stored, flushed once.
+fn full_render(entries: &ModelMap) -> Vec<u8> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = tmpdir(&format!("oracle-{}", SEQ.fetch_add(1, Ordering::Relaxed)));
+    let oracle = SweepCache::open(&dir).expect("temp dir is writable");
+    for (key, value) in entries {
+        store(&oracle, *key, value);
+    }
+    oracle.flush().expect("oracle flush");
+    let bytes = fs::read(oracle.path()).expect("oracle file");
+    let _ = fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// Asserts the shared file holds exactly the full render of `file`.
+fn assert_file_renders(path: &Path, file: &ModelMap) -> Result<(), TestCaseError> {
+    match fs::read(path) {
+        Ok(bytes) => prop_assert!(
+            bytes == full_render(file),
+            "flushed bytes differ from a full render of {} entries",
+            file.len()
+        ),
+        Err(_) => prop_assert!(file.is_empty(), "no file, yet {} entries", file.len()),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The incremental flush is byte-identical to a full render, through
+    /// overwrites, both entry kinds, reopening, invalidation, and a
+    /// second cache on the same directory whose flushes force the
+    /// disk-merge path. `file` models the file's entries; `mem` models
+    /// the cache under test (memory wins a merge, as in `flush`).
+    #[test]
+    fn incremental_flush_matches_a_full_render(
+        ops in proptest::collection::vec((0u8..16, 0u64..24, any::<u64>()), 1..80)
+    ) {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir = tmpdir(&format!("diff-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+        let mut cache = SweepCache::open(&dir).expect("temp dir is writable");
+        let (mut mem, mut file) = (ModelMap::new(), ModelMap::new());
+        let mut dirty = false;
+        let mut other_keys = 1_000u64;
+        for (op, index, seed) in ops {
+            match op {
+                0..=6 => {
+                    let key = (false, spread(index));
+                    let value = Model::Eval(eval_entry(seed));
+                    store(&cache, key, &value);
+                    mem.insert(key, value);
+                    dirty = true;
+                }
+                7..=9 => {
+                    let key = (true, spread(index));
+                    let value = Model::Test(f64::from_bits(seed));
+                    store(&cache, key, &value);
+                    mem.insert(key, value);
+                    dirty = true;
+                }
+                10..=12 => {
+                    cache.flush().expect("flush");
+                    if dirty {
+                        for (k, v) in &file {
+                            mem.entry(*k).or_insert_with(|| v.clone());
+                        }
+                        file = mem.clone();
+                        dirty = false;
+                    }
+                    assert_file_renders(cache.path(), &file)?;
+                }
+                13 => {
+                    // Another writer adds fresh keys of its own, so the
+                    // file grows and the next flush must merge from disk.
+                    let other = SweepCache::open(&dir).expect("reopen");
+                    for _ in 0..=seed % 3 {
+                        let key = (false, spread(other_keys));
+                        other_keys += 1;
+                        let value = Model::Eval(eval_entry(seed.rotate_left(other_keys as u32)));
+                        store(&other, key, &value);
+                        file.insert(key, value);
+                    }
+                    other.flush().expect("other flush");
+                    assert_file_renders(cache.path(), &file)?;
+                }
+                14 => {
+                    // Reopen: pending entries never flushed are lost,
+                    // and the first flush after open renders in full.
+                    cache = SweepCache::open(&dir).expect("reopen");
+                    mem = file.clone();
+                    dirty = false;
+                }
+                _ => {
+                    cache.invalidate().expect("invalidate");
+                    mem.clear();
+                    file.clear();
+                    dirty = false;
+                    assert_file_renders(cache.path(), &file)?;
+                }
+            }
+        }
+        cache.flush().expect("final flush");
+        if dirty {
+            for (k, v) in &file {
+                mem.entry(*k).or_insert_with(|| v.clone());
+            }
+            file = mem.clone();
+        }
+        assert_file_renders(cache.path(), &file)?;
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

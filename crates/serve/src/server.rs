@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -49,6 +49,13 @@ use crate::http::{
 use crate::json;
 use crate::queue::Queue;
 use crate::spec::JobSpec;
+
+/// How long a connection may take to send its request, and how long
+/// one write to it may block. A client that stays silent, or stops
+/// reading its stream, is dropped after this instead of holding a
+/// handler thread forever. Only the request is ever read, so a long
+/// job's stream is bounded per write, never in total.
+const IO_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Process-wide flag a `SIGTERM`/`SIGINT` handler flips; the accept
 /// loop polls it alongside the `/shutdown` flag.
@@ -134,6 +141,10 @@ struct ServerState {
     shutdown: AtomicBool,
     /// Stream heads still to fail on purpose (the fault-suite hook).
     failing_heads: AtomicUsize,
+    /// Accepted connections still waiting for their request, by
+    /// connection number. The drain shuts their read half, so a silent
+    /// client cannot make `run` wait out [`IO_DEADLINE`].
+    awaiting_request: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl ServerState {
@@ -141,6 +152,12 @@ impl ServerState {
         // Poison tolerance everywhere a panicking worker might have
         // held a guard: one wedged job must never wedge the daemon.
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn awaiting_request(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.awaiting_request
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn stopping(&self) -> bool {
@@ -174,6 +191,7 @@ impl Server {
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             failing_heads: AtomicUsize::new(0),
+            awaiting_request: Mutex::new(HashMap::new()),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -216,12 +234,18 @@ impl Server {
     /// per-connection, never fatal to the daemon).
     pub fn run(self) -> std::io::Result<()> {
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut connections = 0u64;
         while !self.state.stopping() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
+                    connections += 1;
+                    let conn = connections;
+                    if let Ok(handle) = stream.try_clone() {
+                        self.state.awaiting_request().insert(conn, handle);
+                    }
                     let state = Arc::clone(&self.state);
                     handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &state)
+                        handle_connection(conn, stream, &state)
                     }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -242,6 +266,11 @@ impl Server {
         }
         for w in self.workers {
             let _ = w.join();
+        }
+        // A connection that never sent its request gets none in now:
+        // ending its read wakes the handler at once.
+        for (_, stream) in self.state.awaiting_request().drain() {
+            let _ = stream.shutdown(Shutdown::Read);
         }
         for h in handlers {
             let _ = h.join();
@@ -312,16 +341,19 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn handle_connection(stream: TcpStream, state: &ServerState) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+fn handle_connection(conn: u64, stream: TcpStream, state: &ServerState) {
+    // A socket that cannot take its deadlines is closed unserved.
+    let request = stream
+        .set_read_timeout(Some(IO_DEADLINE))
+        .and_then(|()| stream.set_write_timeout(Some(IO_DEADLINE)))
+        .and_then(|()| stream.try_clone())
+        .map(|reader| read_request(&mut BufReader::new(reader)));
+    state.awaiting_request().remove(&conn);
     let mut writer = stream;
-    let request = match read_request(&mut reader) {
-        Ok(r) => r,
-        Err(None) => return,
-        Err(Some(e)) => {
+    let request = match request {
+        Ok(Ok(r)) => r,
+        Err(_) | Ok(Err(None)) => return,
+        Ok(Err(Some(e))) => {
             let (status, reason) = parse_error_status(&e);
             let _ = write_error(&mut writer, status, reason, &e.to_string());
             return;

@@ -367,6 +367,35 @@ fn a_failed_stream_head_cancels_the_admitted_job() {
 }
 
 #[test]
+fn a_silent_client_does_not_hold_up_graceful_shutdown() {
+    // A client connects and never sends a byte. Shutdown must still
+    // complete promptly: the drain ends the silent connection's read
+    // instead of waiting for the client (or the read deadline).
+    let server = Server::bind("127.0.0.1:0", 1, SweepCache::in_memory()).expect("bind");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let (done, finished) = std::sync::mpsc::channel();
+    let serve_thread = std::thread::spawn(move || {
+        let result = server.run();
+        let _ = done.send(());
+        result
+    });
+    let silent = TcpStream::connect(&addr).expect("connect");
+    // Connections are accepted in arrival order, so once this request
+    // is answered the silent connection has been accepted too.
+    http_get(&addr, "/healthz");
+    control(&addr, "/shutdown").expect("shutdown accepted");
+    assert!(
+        finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "run must return within 2 s while a silent client stays connected"
+    );
+    serve_thread
+        .join()
+        .expect("serve thread joins cleanly")
+        .expect("clean shutdown");
+    drop(silent);
+}
+
+#[test]
 fn faulted_daemons_flush_byte_identical_cache_files() {
     // Two dir-backed daemons run the same real job; one of them also
     // absorbs a panicking job first. The injected panic fires before
