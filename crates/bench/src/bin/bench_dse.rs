@@ -28,6 +28,10 @@ use tta_core::models::{
 use tta_core::{CarriedFolds, ComponentDb, DeltaEvaluator};
 use tta_movec::{Dfg, Scheduler};
 use tta_netlist::{elaborate, timing, IncrementalElaborator};
+use tta_serve::client::{control, run_remote};
+use tta_serve::exec;
+use tta_serve::server::Server;
+use tta_serve::spec::{Format, JobSpec};
 use tta_workloads::{suite, SuiteParams, SuiteRegistry};
 
 struct SweepRow {
@@ -62,6 +66,13 @@ struct CacheFlushRow {
     flushes: usize,
     ms_per_flush: f64,
     bytes_per_flush: u64,
+}
+
+struct ServeRow {
+    space: &'static str,
+    jobs: usize,
+    fresh_ms_p50: f64,
+    hit_ms_p50: f64,
 }
 
 struct FidelityRow {
@@ -402,6 +413,92 @@ fn time_cache_flush(from: usize, to: usize, iters: usize) -> CacheFlushRow {
     }
 }
 
+/// Jobs per sample of the serve row, fresh-cache and cache-hit alike.
+const SERVE_JOBS: usize = 31;
+
+/// Times one crypt job over `space` through an in-process daemon on
+/// loopback, client side, from connect to the `done` event:
+/// [`SERVE_JOBS`] jobs each on a fresh daemon (cold cache), then as many
+/// repeats on one daemon whose cache already holds every point of the
+/// job. Outside the timed window each output is compared with the
+/// in-process exec render of the job over the same cache state:
+/// cacheless for fresh jobs, a warmed cache for the repeats.
+fn time_serve(space: &'static str) -> ServeRow {
+    eprintln!("serving {SERVE_JOBS} fresh and {SERVE_JOBS} cache-hit {space}-space jobs...");
+    let spec = JobSpec {
+        space: Some(space.into()),
+        workloads: vec!["crypt".into()],
+        format: Format::Json,
+        ..JobSpec::default()
+    };
+    let prepared = exec::prepare(&spec).expect("serve row spec resolves");
+    let fresh_render = prepared.run(None, None, None, None).output;
+    let warm = SweepCache::in_memory();
+    prepared.run(Some(&warm), None, None, None);
+    let hit_render = prepared.run(Some(&warm), None, None, None).output;
+
+    let start_daemon = || {
+        let server =
+            Server::bind("127.0.0.1:0", 2, SweepCache::in_memory()).expect("bind a loopback port");
+        let addr = server.local_addr().expect("bound address").to_string();
+        (addr, std::thread::spawn(move || server.run()))
+    };
+    let stop_daemon = |addr: &str, handle: std::thread::JoinHandle<std::io::Result<()>>| {
+        control(addr, "/shutdown").expect("shutdown accepted");
+        handle
+            .join()
+            .expect("serve thread")
+            .expect("clean shutdown");
+    };
+    let submit = |addr: &str| {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let start = Instant::now();
+        run_remote(addr, &spec, &mut out, &mut err).expect("serve row job");
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        (ms, String::from_utf8(out).expect("utf-8 output"))
+    };
+    let median = |mut ms: Vec<f64>| {
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+
+    let fresh = (0..SERVE_JOBS)
+        .map(|_| {
+            let (addr, handle) = start_daemon();
+            let (ms, output) = submit(&addr);
+            assert!(
+                output == fresh_render,
+                "a fresh daemon job must print the exec render"
+            );
+            stop_daemon(&addr, handle);
+            ms
+        })
+        .collect();
+    let (addr, handle) = start_daemon();
+    let (_, output) = submit(&addr);
+    assert!(
+        output == fresh_render,
+        "a fresh daemon job must print the exec render"
+    );
+    let hits = (0..SERVE_JOBS)
+        .map(|_| {
+            let (ms, output) = submit(&addr);
+            assert!(
+                output == hit_render,
+                "a cache-hit daemon job must print the exec render"
+            );
+            ms
+        })
+        .collect();
+    stop_daemon(&addr, handle);
+    ServeRow {
+        space,
+        jobs: SERVE_JOBS,
+        fresh_ms_p50: median(fresh),
+        hit_ms_p50: median(hits),
+    }
+}
+
 /// SplitMix64: a stable, dependency-free index stream for samples.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -563,10 +660,17 @@ fn main() {
     if keep("huge") {
         schedule_rows.push(time_schedule("huge", TemplateSpace::huge(), 500, iters));
     }
+    // Serve rows: one job end to end through the daemon on loopback,
+    // admission, queue, run and stream included.
+    let mut serve_rows = Vec::new();
+    if keep("fast") {
+        serve_rows.push(time_serve("fast"));
+    }
     if rows.is_empty()
         && fold_rows.is_empty()
         && fidelity_rows.is_empty()
         && schedule_rows.is_empty()
+        && serve_rows.is_empty()
     {
         eprintln!("--space matched nothing (expected fast, paper or huge)");
         std::process::exit(2);
@@ -613,7 +717,11 @@ fn main() {
          grows to 8192 in 64-entry chunks, flushing after each; ms_per_flush is the best-of run's \
          mean and bytes_per_flush the mean file size written (byte-identity of the chunked \
          flushes to one full render asserted in an untimed pass). It belongs to no space and runs \
-         under every --space filter.\","
+         under every --space filter. The serve rows time one crypt job through an in-process \
+         daemon (2 workers) on loopback, client side from connect to the done event: \
+         fresh_ms_p50 is the median of 31 jobs each on a fresh daemon, hit_ms_p50 of 31 repeats \
+         on one daemon whose cache already holds the job (every output byte-identical to the \
+         in-process exec render over the same cache state, asserted outside the timed window).\","
     );
     println!("  \"sweeps\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -688,6 +796,16 @@ fn main() {
         flush_row.ms_per_flush,
         flush_row.bytes_per_flush
     );
+    println!("  ],");
+    println!("  \"serve\": [");
+    for (i, r) in serve_rows.iter().enumerate() {
+        let comma = if i + 1 < serve_rows.len() { "," } else { "" };
+        println!(
+            "    {{ \"space\": \"{}\", \"workload\": \"crypt\", \"jobs\": {}, \
+             \"fresh_ms_p50\": {:.3}, \"hit_ms_p50\": {:.3} }}{comma}",
+            r.space, r.jobs, r.fresh_ms_p50, r.hit_ms_p50
+        );
+    }
     println!("  ],");
     if keep("paper") {
         // Cold end-to-end: the annotation database (real ATPG + march

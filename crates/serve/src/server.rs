@@ -26,11 +26,12 @@
 //! embedded as a JSON string) or `error`. Invalid specs never reach the
 //! queue — they answer `400` immediately. A client that disconnects
 //! mid-stream cancels its job cooperatively; the job checkpoints and
-//! stays resumable.
+//! stays resumable. At most [`MAX_CONNECTIONS`] connections are served
+//! at once; one over the cap is answered `503` and closed.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -57,8 +58,17 @@ use crate::spec::JobSpec;
 /// job's stream is bounded per write, never in total.
 const IO_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Process-wide flag a `SIGTERM`/`SIGINT` handler flips; the accept
-/// loop polls it alongside the `/shutdown` flag.
+/// How often the stop watcher looks for a shutdown request, and how
+/// long the accept loop backs off after a failed `accept`.
+const STOP_POLL: Duration = Duration::from_millis(20);
+
+/// Most connection handlers alive at once. A connection accepted over
+/// the cap is answered `503` by the accept loop and closed, with no
+/// handler spawned for it.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Process-wide flag a `SIGTERM`/`SIGINT` handler flips; the stop
+/// watcher polls it alongside the `/shutdown` flag.
 static TERMINATED: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_terminate(_signum: i32) {
@@ -170,6 +180,8 @@ impl ServerState {
 /// until `/shutdown` or a signal, then drains gracefully.
 pub struct Server {
     listener: TcpListener,
+    /// Where the stop watcher connects to wake the accept loop.
+    wake: SocketAddr,
     state: Arc<ServerState>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -183,7 +195,7 @@ impl Server {
     /// Socket bind failures.
     pub fn bind(addr: &str, workers: usize, cache: SweepCache) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let wake = wake_addr(listener.local_addr()?);
         let state = Arc::new(ServerState {
             cache,
             queue: Queue::new(),
@@ -201,6 +213,7 @@ impl Server {
             .collect();
         Ok(Server {
             listener,
+            wake,
             state,
             workers,
         })
@@ -228,33 +241,61 @@ impl Server {
     /// closes, running jobs are cancelled cooperatively, workers are
     /// joined, and the warm cache is flushed one final time.
     ///
+    /// The accept loop blocks in `accept`, so a connection is admitted
+    /// as soon as it arrives; over [`MAX_CONNECTIONS`] live handlers it
+    /// is answered `503` instead. A stop watcher thread polls for
+    /// `/shutdown` or a signal every 20 ms, then wakes the loop by
+    /// connecting to the listener itself; the loop drops that
+    /// connection and drains.
+    ///
     /// # Errors
     ///
     /// A final cache-flush failure (connection-level errors are
     /// per-connection, never fatal to the daemon).
     pub fn run(self) -> std::io::Result<()> {
+        let (accepting, accept_done) = mpsc::channel::<()>();
+        let watcher = {
+            let (state, wake) = (Arc::clone(&self.state), self.wake);
+            std::thread::spawn(move || stop_watcher(&state, wake, &accept_done))
+        };
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        // Refused sockets stay open until as many later refusals, or
+        // the drain, close them (see `refuse_busy`).
+        let mut refused: VecDeque<TcpStream> = VecDeque::new();
         let mut connections = 0u64;
-        while !self.state.stopping() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    connections += 1;
-                    let conn = connections;
-                    if let Ok(handle) = stream.try_clone() {
-                        self.state.awaiting_request().insert(conn, handle);
-                    }
-                    let state = Arc::clone(&self.state);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(conn, stream, &state)
-                    }));
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(_) if self.state.stopping() => break,
+                // A persistent error (say `EMFILE`) must not spin.
+                Err(_) => {
+                    std::thread::sleep(STOP_POLL);
+                    continue;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            };
+            if self.state.stopping() {
+                break;
             }
             handlers.retain(|h| !h.is_finished());
+            if handlers.len() >= MAX_CONNECTIONS {
+                if refused.len() == MAX_CONNECTIONS {
+                    refused.pop_front();
+                }
+                refused.push_back(refuse_busy(stream));
+                continue;
+            }
+            connections += 1;
+            let conn = connections;
+            if let Ok(handle) = stream.try_clone() {
+                self.state.awaiting_request().insert(conn, handle);
+            }
+            let state = Arc::clone(&self.state);
+            handlers.push(std::thread::spawn(move || {
+                handle_connection(conn, stream, &state)
+            }));
         }
+        drop(accepting);
+        let _ = watcher.join();
         // Graceful drain: no new jobs, cancel whatever is running (the
         // cancel is cooperative — each job checkpoints within a chunk),
         // then wait for workers and in-flight connections.
@@ -279,6 +320,48 @@ impl Server {
     }
 }
 
+/// Where the stop watcher connects to wake the accept loop: the bound
+/// address, with an unspecified host (`0.0.0.0`, `::`) swapped for
+/// loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Waits for a shutdown request, then connects to `wake` so the accept
+/// loop, blocked in `accept`, sees it. Connects again every
+/// [`STOP_POLL`] until the loop reports it has stopped by dropping its
+/// end of `accept_done`, so a failed connect cannot leave it blocked.
+fn stop_watcher(state: &ServerState, wake: SocketAddr, accept_done: &mpsc::Receiver<()>) {
+    while let Err(mpsc::RecvTimeoutError::Timeout) = accept_done.recv_timeout(STOP_POLL) {
+        if state.stopping() {
+            let _ = TcpStream::connect_timeout(&wake, STOP_POLL);
+        }
+    }
+}
+
+/// Answers a connection over [`MAX_CONNECTIONS`] with `503` from the
+/// accept loop and ends its write half. The short answer fits the empty
+/// send buffer of a fresh socket, so the write cannot stall the loop.
+///
+/// The caller holds the socket open for a while: closing it with the
+/// client's request still unread would reset the connection, and the
+/// reset can destroy the `503` before the client reads it.
+fn refuse_busy(mut stream: TcpStream) -> TcpStream {
+    let _ = write_error(
+        &mut stream,
+        503,
+        "Service Unavailable",
+        &format!("daemon is at its {MAX_CONNECTIONS}-connection limit"),
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    stream
+}
+
 /// Runs jobs off the queue until it closes. Each job executes under
 /// `catch_unwind`: a panic marks that job failed and the loop continues
 /// — the poisoned worker never takes the daemon down with it.
@@ -291,6 +374,11 @@ fn worker_loop(state: &ServerState) {
         let events = job.events.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut observer = |p: &SweepProgress| {
+                // `/jobs` reports progress live, not only at the end.
+                if let Some(r) = state.jobs().get_mut(&job.id) {
+                    r.evaluations = p.visited;
+                    r.front = p.front;
+                }
                 let _ = events.send(Event::Progress(p.clone()));
             };
             job.prepared.run(

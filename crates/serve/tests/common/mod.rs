@@ -29,6 +29,23 @@ pub fn serve(server: Server) -> Daemon {
     Daemon { addr, handle }
 }
 
+/// Runs `server` on its own thread. The receiver hears when `run`
+/// returns, so a test can bound how long shutdown takes.
+pub fn spawn_run(
+    server: Server,
+) -> (
+    std::thread::JoinHandle<std::io::Result<()>>,
+    std::sync::mpsc::Receiver<()>,
+) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let result = server.run();
+        let _ = done.send(());
+        result
+    });
+    (handle, finished)
+}
+
 impl Daemon {
     /// Graceful shutdown: `POST /shutdown`, then join the serve thread
     /// and propagate its final cache-flush result.

@@ -10,11 +10,11 @@ use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-use common::{http_get, local_output, serve, start, tiny_spec};
+use common::{http_get, local_output, serve, spawn_run, start, tiny_spec};
 use tta_core::cache::{SweepCache, CACHE_FILE_NAME};
 use tta_serve::client::{control, run_remote};
 use tta_serve::jsonparse::Json;
-use tta_serve::server::Server;
+use tta_serve::server::{Server, MAX_CONNECTIONS};
 use tta_serve::spec::{Format, JobSpec, Strategy};
 
 /// A job slow enough (thousands of points sampled from the huge space,
@@ -66,6 +66,28 @@ fn wait_for_state(addr: &str, id: u64, want: &str, timeout: Duration) -> bool {
         std::thread::sleep(Duration::from_millis(5));
     }
     false
+}
+
+/// Sends `method path` until it gets past the connection cap, and
+/// returns the first status that is not `503`. A handler that has
+/// answered may still be exiting, so a freed slot shows up late.
+fn status_past_cap(addr: &str, method: &str, path: &str) -> u16 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write!(
+            stream,
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        )
+        .expect("send request");
+        let status = tta_serve::http::read_response_head(&mut BufReader::new(&stream))
+            .expect("response head")
+            .status;
+        if status != 503 || Instant::now() > deadline {
+            return status;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// A fresh scratch directory under the system temp dir.
@@ -435,4 +457,87 @@ fn faulted_daemons_flush_byte_identical_cache_files() {
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&fault_dir);
+}
+
+#[test]
+fn connections_over_the_cap_answer_503_without_a_handler() {
+    let server = Server::bind("127.0.0.1:0", 1, SweepCache::in_memory()).expect("bind");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let (serve_thread, finished) = spawn_run(server);
+    // Every silent connection holds a handler thread until its read
+    // deadline. Connections are accepted in arrival order, so all of
+    // them are in before the next one.
+    let mut silent: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    let mut over = TcpStream::connect(&addr).expect("connect");
+    let mut answer = String::new();
+    over.read_to_string(&mut answer).expect("read answer");
+    assert!(
+        answer.starts_with("HTTP/1.1 503"),
+        "a connection over the cap should answer 503: {answer:?}"
+    );
+    assert!(answer.contains("\"error\""), "{answer:?}");
+
+    // Hanging up one silent client frees its handler, and the daemon
+    // serves again once that handler has exited.
+    drop(silent.pop());
+    assert_eq!(
+        status_past_cap(&addr, "GET", "/healthz"),
+        200,
+        "a freed slot should serve /healthz"
+    );
+    assert_eq!(status_past_cap(&addr, "POST", "/shutdown"), 200);
+    assert!(
+        finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "run must return within 2 s while {} silent clients stay connected",
+        silent.len()
+    );
+    serve_thread
+        .join()
+        .expect("serve thread joins cleanly")
+        .expect("clean shutdown");
+    drop(silent);
+}
+
+#[test]
+fn jobs_report_evaluations_while_a_job_runs() {
+    let daemon = start(1, SweepCache::in_memory());
+    let spec = long_spec();
+    let addr = daemon.addr.clone();
+    let client = std::thread::spawn(move || {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        run_remote(&addr, &spec, &mut out, &mut err).expect("the job streams to its end")
+    });
+    assert!(
+        wait_for_state(&daemon.addr, 1, "running", Duration::from_secs(30)),
+        "job 1 should start"
+    );
+
+    // The record counts evaluated chunks as they land, not only when
+    // the job finishes.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let live = loop {
+        let jobs = http_get(&daemon.addr, "/jobs");
+        let record = &jobs.as_arr().expect("jobs array")[0];
+        let evaluations = record.get("evaluations").and_then(Json::as_u64);
+        if evaluations.is_some_and(|n| n > 0) {
+            break record
+                .get("state")
+                .and_then(Json::as_str)
+                .map(str::to_owned);
+        }
+        assert!(Instant::now() < deadline, "no progress reached /jobs");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        live.as_deref(),
+        Some("running"),
+        "evaluations should show up before the job finishes"
+    );
+
+    control(&daemon.addr, "/jobs/1/cancel").expect("cancel accepted");
+    let summary = client.join().expect("client thread");
+    assert!(summary.cancelled, "the cancel landed mid-sweep");
+    daemon.stop().expect("clean shutdown");
 }
