@@ -107,8 +107,6 @@ COMMON FLAGS:
     --format FORMAT        table (default) | json | csv
     --cache-dir DIR        Persistent sweep cache; re-runs skip cached points
     --resume               Require --cache-dir; continue an interrupted sweep
-    --eval ENGINE          delta (default): memoized per-component evaluation;
-                           scratch: the reference oracle (identical results)
 
 EXPLORE FLAGS:
     --workload LIST        Comma-separated `name[:weight]` items; see
@@ -186,9 +184,9 @@ TABLE1 FLAGS:
 
 Cache accounting and progress go to stderr; stdout carries only the
 requested output, byte-identical across warm and cold cache runs. The
-one exception: the delta engine's fold-carry counters (JSON
-`search.delta`, table footer) report per-run incremental work, which a
-warm cache legitimately reduces.
+one exception: the carried-fold counters (JSON `search.delta`, table
+footer) report per-run incremental work, which a warm cache
+legitimately reduces.
 ";
 
 /// Dispatches a full argument list (without the binary name).
@@ -296,6 +294,17 @@ mod tests {
     fn unknown_flag_is_usage_error() {
         let e = run_capture(&["fig2", "--fastest"]).unwrap_err();
         assert_eq!(e.exit_code, 2);
+    }
+
+    #[test]
+    fn removed_eval_flag_is_a_usage_error() {
+        // The evaluation-engine selector is gone: every sweep folds each
+        // axis one way, so `--eval` is an unknown flag like any other.
+        for engine in ["delta", "scratch"] {
+            let e = run_capture(&["explore", "--space", "tiny", "--eval", engine]).unwrap_err();
+            assert_eq!(e.exit_code, 2);
+            assert!(e.message.contains("--eval"), "{}", e.message);
+        }
     }
 
     #[test]
@@ -455,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn explore_scratch_output_is_byte_identical_to_delta() {
+    fn explore_gray_walk_output_matches_enumeration_order() {
         let base = [
             "explore",
             "--space",
@@ -465,15 +474,10 @@ mod tests {
             "--format",
             "json",
         ];
-        let (delta, _) = run_capture(&base).unwrap();
-        let mut scratch_args = base.to_vec();
-        scratch_args.extend(["--eval", "scratch"]);
-        let (scratch, _) = run_capture(&scratch_args).unwrap();
-        // The delta run echoes its fold-carry accounting, the scratch
-        // run has none and a Gray walk carries more than an enumeration
-        // walk — stats are the sanctioned engine-observability
-        // exception, so strip them (and the strategy name) before the
-        // byte comparison.
+        let (plain, _) = run_capture(&base).unwrap();
+        // A Gray walk carries more folds than an enumeration walk — the
+        // stats are the sanctioned observability exception, so strip
+        // them (and the strategy name) before the byte comparison.
         let strip = |s: &str| {
             let s = s.replace("exhaustive-neighbour", "exhaustive");
             match s.find(",\"delta\":{") {
@@ -485,24 +489,15 @@ mod tests {
             }
         };
         assert!(
-            delta.contains("\"delta\":{\"fold_carries\":"),
-            "delta run must echo fold-carry stats: {delta}"
-        );
-        assert!(
-            !scratch.contains("\"delta\":"),
-            "scratch run must not echo stats: {scratch}"
-        );
-        assert_eq!(
-            strip(&delta),
-            strip(&scratch),
-            "--eval scratch must not change any byte beyond the stats object"
+            plain.contains("\"delta\":{\"fold_carries\":"),
+            "every run echoes fold-carry stats: {plain}"
         );
         // Gray-code visit order must not change the reported front or
-        // objective bytes either (JSON output is order-canonicalised by
-        // area, not visit order).
+        // objective bytes (JSON output is order-canonicalised by area,
+        // not visit order).
         let mut gray_args = base.to_vec();
         gray_args.extend(["--strategy", "neighbour"]);
         let (gray, _) = run_capture(&gray_args).unwrap();
-        assert_eq!(strip(&gray), strip(&delta));
+        assert_eq!(strip(&gray), strip(&plain));
     }
 }

@@ -136,25 +136,6 @@ pub struct ComponentRecord {
     pub nconn: usize,
 }
 
-/// Crate-internal abstraction over *where component records come from*:
-/// the database itself, or the delta evaluator's memo arena in front of
-/// it ([`crate::delta::DeltaEvaluator`]). The default cost models fold
-/// their sums through this trait, so the scratch and delta evaluation
-/// paths run the exact same float code — bit-identity between them holds
-/// by construction, not by careful reimplementation.
-pub(crate) trait RecordSource {
-    /// The record for `key`, computing or memoizing as the source sees
-    /// fit. Must return the same record a direct [`ComponentDb::get`]
-    /// would.
-    fn record(&self, key: ComponentKey) -> Arc<ComponentRecord>;
-}
-
-impl RecordSource for ComponentDb {
-    fn record(&self, key: ComponentKey) -> Arc<ComponentRecord> {
-        self.get(key)
-    }
-}
-
 /// The lazy component database.
 ///
 /// March-tested register files use [`MarchAlgorithm::march_cminus`] by

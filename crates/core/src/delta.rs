@@ -1,63 +1,51 @@
-//! Incremental (delta) point evaluation with a memoized component arena.
+//! Incremental point evaluation along a Gray walk: [`CarriedFolds`].
 //!
 //! A design-space sweep evaluates thousands of points whose cost is a
 //! fold over *per-component* contributions — and neighbouring points
 //! share almost all of their components (a Gray-walk neighbour order,
 //! [`tta_arch::template::TemplateSpace::neighbour_order`], changes
-//! exactly one template knob per step). [`DeltaEvaluator`] exploits
-//! that: every [`crate::ComponentRecord`] it touches is memoized in a
-//! flat arena keyed by [`ComponentKey`], so moving to a neighbouring
-//! point re-costs only the changed component instead of re-fetching the
-//! whole architecture from the (locked, hashed) [`ComponentDb`].
+//! exactly one template knob per step). [`CarriedFolds`] exploits that:
+//! it keeps the area and clock folds of the previous point and, on a
+//! contiguous walk step, retracts and applies only the components that
+//! changed.
 //!
-//! **Correctness before speed.** The headline guarantee of the engine
-//! is that `EvalMode::Delta` is **bit-identical** to
-//! `EvalMode::Scratch`, and f64 addition is not associative — so the
-//! delta path never runs a *naive* ±delta on the float objectives.
-//! Two mechanisms keep both properties at once:
-//!
-//! * the arena sits behind the exact same fold code the scratch models
-//!   run ([`crate::backannotate`]'s crate-internal record-source
-//!   abstraction): both paths execute the same float operations in the
-//!   same order on the same records, so bit-identity holds by
-//!   construction;
-//! * [`CarriedFolds`] carries the area/clock folds across Gray-walk
-//!   neighbours with retract/apply updates whose accumulators are
-//!   *exact* — an integer area sum (every intermediate f64 sum of
-//!   integral contributions below 2⁵³ is exact, so the scratch fold's
-//!   result equals the carried integer bit-for-bit) and an
-//!   order-independent critical-path max — and falls back to refolding
-//!   in scratch order from its lock-free component mirror whenever
-//!   exactness cannot be proven (non-integral areas, NaN/−0.0 critical
-//!   paths) or the walk is discontinuous. The test-cost fold is
-//!   re-run per point from the same mirror (the round-robin socket→bus
-//!   assignment shifts per-instance transport distances whenever an
-//!   earlier unit count changes, so no carried test sum can be
-//!   correct), but skips the scratch path's per-component `String`/
-//!   `Vec` allocations and every lock.
+//! **Correctness before speed.** The carried result is **bit-identical**
+//! to the scratch models ([`crate::models::AnnotatedAreaModel`],
+//! [`crate::models::AnnotatedTimingModel`],
+//! [`crate::models::Eq14TestCostModel`]), and f64 addition is not
+//! associative — so the carry never runs a *naive* ±delta on the float
+//! objectives. Its accumulators are *exact* instead: an integer area sum
+//! in 2⁻⁸-GE units (cell areas are quarter-GE multiples, and every
+//! intermediate f64 sum of such contributions below 2⁴⁵ GE is exact, so
+//! the scratch fold's result equals the carried sum bit-for-bit) and an
+//! order-independent critical-path max. Whenever exactness cannot be
+//! proven (areas off the 2⁻⁸ grid, NaN/−0.0 critical paths) the point
+//! reruns the scratch fold over the [`ComponentDb`],
+//! and a discontinuous walk refolds the whole mirror. The test-cost fold
+//! is re-run per point from the mirror (the round-robin socket→bus
+//! assignment shifts per-instance transport distances whenever an
+//! earlier unit count changes, so no carried test sum can be correct),
+//! but skips the scratch path's per-component `String`/`Vec`
+//! allocations and every lock.
 //!
 //! The differential property tests in `crates/core/tests/delta.rs`
 //! enforce bit-identity for all of it anyway.
 //!
-//! **Staleness.** The arena is guarded by the database fingerprint
-//! ([`crate::ComponentDb::fingerprint`]): records annotated under one
-//! engine configuration (ATPG profile, march algorithm) must never be
-//! served for another. Every top-level evaluation validates the guard
-//! once and evicts the whole arena on mismatch — see
-//! [`DeltaEvaluator::prime`] for the test hook that proves this.
+//! **Staleness.** The mirror is guarded by the database fingerprint
+//! ([`crate::ComponentDb::fingerprint`]) that [`DeltaEvaluator`] holds:
+//! records annotated under one engine configuration (ATPG profile,
+//! march algorithm) must never be folded into a point evaluated against
+//! another. Every [`CarriedFolds::advance`] validates the guard once and
+//! refolds from the new database on mismatch.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 
 use tta_arch::{timing, Architecture, FuKind};
 
-use crate::backannotate::{ComponentDb, ComponentKey, ComponentRecord, RecordSource};
-use crate::models::{
-    annotated_area, annotated_clock_period, key_width, AnnotatedAreaModel, AnnotatedTimingModel,
-    AreaModel, Eq14TestCostModel, InterconnectModel, TestCostModel, TimingModel,
-};
-use crate::testcost::{ftrf, fts, socket_state_bits, test_cost_from, ArchTestCost};
+use crate::backannotate::{ComponentDb, ComponentKey, ComponentRecord};
+use crate::models::{annotated_area, annotated_clock_period, key_width, InterconnectModel};
+use crate::testcost::{ftrf, fts, socket_state_bits};
 
 /// FxHash-style multiply-rotate hasher for the [`CarriedFolds`] mirror.
 ///
@@ -83,213 +71,39 @@ impl std::hash::Hasher for FxHasher {
 
 type FxHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
-/// The memoizing record store: a flat arena of [`ComponentRecord`]s
-/// keyed by [`ComponentKey`], guarded by the fingerprint of the
-/// database that produced them.
+/// The database-fingerprint guard of a [`CarriedFolds`] walk.
+///
+/// The carry's mirror holds [`ComponentRecord`]s fetched from one
+/// [`ComponentDb`]; records annotated under one engine configuration
+/// (ATPG profile, march algorithm) must never be folded into a point
+/// evaluated against another. [`CarriedFolds::advance`] checks the guard
+/// once per point and drops its mirror whenever the database's
+/// [`ComponentDb::fingerprint`] differs from the last one it saw. Safe
+/// to share across threads (`&self`, guard behind a [`Mutex`]).
 #[derive(Debug, Default)]
-struct MemoArena {
-    /// [`ComponentDb::fingerprint`] of the database the slots were
-    /// filled from; `None` until the first record lands. A mismatch on
-    /// validation evicts every slot.
-    guard: Option<u64>,
-    /// Key → slot position.
-    index: HashMap<ComponentKey, usize>,
-    /// The records themselves, in insertion order.
-    slots: Vec<Arc<ComponentRecord>>,
-}
-
-/// Incremental evaluator for the three default cost axes (area, clock
-/// period, eq.-14 test cost), memoizing per-component records in a flat
-/// arena so neighbouring points only pay for their *changed* components.
-///
-/// Shared by the `EvalMode::Delta` model wrappers of one
-/// [`crate::explore::Exploration`] run; safe to share across sweep
-/// threads (`&self` everywhere, arena behind a [`RwLock`]).
-///
-/// Produces bit-identical results to the scratch models
-/// ([`AnnotatedAreaModel`], [`AnnotatedTimingModel`],
-/// [`Eq14TestCostModel`]) — see the module docs for why that holds by
-/// construction.
-#[derive(Debug)]
 pub struct DeltaEvaluator {
-    interconnect: InterconnectModel,
-    arena: RwLock<MemoArena>,
-    /// Record fetches served from the arena (relaxed counters: exact on
-    /// serial sweeps, approximate interleavings under parallelism).
-    hits: AtomicU64,
-    /// Record fetches that had to fall through to the database.
-    misses: AtomicU64,
-    /// Wholesale arena evictions (database fingerprint changed).
-    evictions: AtomicU64,
+    /// Fingerprint of the database the mirror was last filled from;
+    /// `None` until the first point.
+    guard: Mutex<Option<u64>>,
 }
 
 impl DeltaEvaluator {
-    /// An evaluator with an empty arena, folding interconnect costs with
-    /// the given constants (must match the scratch models it stands in
-    /// for — [`crate::explore::Exploration`] guarantees this when it
-    /// wires the delta path).
-    pub fn new(interconnect: InterconnectModel) -> Self {
-        DeltaEvaluator {
-            interconnect,
-            arena: RwLock::new(MemoArena::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+    /// A guard that has seen no database yet. The interconnect argument
+    /// is unused — [`CarriedFolds::new`] takes the constants the folds
+    /// need — and only keeps the constructor's signature for existing
+    /// callers.
+    pub fn new(_interconnect: InterconnectModel) -> Self {
+        DeltaEvaluator::default()
     }
 
-    /// (arena hits, database misses, wholesale evictions) so far — the
-    /// raw counters behind [`DeltaStats`].
-    pub fn arena_counters(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Area of `arch` — bit-identical to
-    /// [`AnnotatedAreaModel::area`](crate::models::AreaModel::area) with
-    /// the same interconnect constants.
-    pub fn area(&self, arch: &Architecture, db: &ComponentDb) -> f64 {
-        let src = self.source(db);
-        annotated_area(arch, &self.interconnect, &src)
-    }
-
-    /// Clock period of `arch` — bit-identical to
-    /// [`AnnotatedTimingModel::clock_period`](crate::models::TimingModel::clock_period).
-    pub fn clock_period(&self, arch: &Architecture, db: &ComponentDb) -> f64 {
-        let src = self.source(db);
-        annotated_clock_period(arch, &self.interconnect, &src)
-    }
-
-    /// eq.-(14) test cost of `arch` — bit-identical to
-    /// [`crate::architecture_test_cost`].
-    pub fn test_cost(&self, arch: &Architecture, db: &ComponentDb) -> ArchTestCost {
-        let src = self.source(db);
-        test_cost_from(arch, &src)
-    }
-
-    /// Number of distinct component records currently memoized.
-    pub fn len(&self) -> usize {
-        self.arena.read().expect("arena lock").slots.len()
-    }
-
-    /// Whether the arena is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The memoized record for `key`, if any — a peek that never
-    /// validates the guard or touches the database. Test hook: together
-    /// with [`DeltaEvaluator::prime`] it proves both that memoized
-    /// records are actually *served* (a primed record shows up in
-    /// results) and that eviction actually *happens* (the record is gone
-    /// after a guard mismatch).
-    pub fn cached(&self, key: ComponentKey) -> Option<Arc<ComponentRecord>> {
-        let arena = self.arena.read().expect("arena lock");
-        arena.index.get(&key).map(|&i| Arc::clone(&arena.slots[i]))
-    }
-
-    /// Installs `record` for `key` as if it had been fetched from a
-    /// database whose [`ComponentDb::fingerprint`] is `db_fingerprint`,
-    /// replacing any existing slot for the key (and evicting the arena
-    /// first when the guard disagrees).
-    ///
-    /// This is a *test hook*: the memo-invalidation suite primes the
-    /// arena with a deliberately wrong record and asserts that it is
-    /// served while the guard matches (memoization is real) and never
-    /// served once the database changes (invalidation is real).
-    pub fn prime(&self, db_fingerprint: u64, key: ComponentKey, record: ComponentRecord) {
-        let mut arena = self.arena.write().expect("arena lock");
-        if arena.guard != Some(db_fingerprint) {
-            if !arena.slots.is_empty() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            arena.index.clear();
-            arena.slots.clear();
-            arena.guard = Some(db_fingerprint);
-        }
-        let record = Arc::new(record);
-        match arena.index.get(&key) {
-            Some(&i) => arena.slots[i] = record,
-            None => {
-                let i = arena.slots.len();
-                arena.slots.push(record);
-                arena.index.insert(key, i);
-            }
-        }
-    }
-
-    /// A record source over (arena, db) with the guard validated for
-    /// `db` — called once per top-level evaluation, so the (cheap but
-    /// not free) database fingerprint is paid per *point*, not per
-    /// component.
-    fn source<'a>(&'a self, db: &'a ComponentDb) -> MemoSource<'a> {
-        self.ensure_guard(db);
-        MemoSource { eval: self, db }
-    }
-
-    /// Validates the arena guard against `db`, evicting every slot on
-    /// mismatch. Returns `true` when the arena was (re)guarded — i.e.
-    /// any memoized record a caller still holds outside the arena (the
-    /// [`CarriedFolds`] mirror) is now stale.
+    /// Validates the guard against `db`. Returns `true` when the guard
+    /// changed (the first call, or a different database fingerprint) —
+    /// i.e. any record the caller still holds from an earlier database
+    /// is now stale.
     pub(crate) fn ensure_guard(&self, db: &ComponentDb) -> bool {
         let fp = db.fingerprint();
-        {
-            let arena = self.arena.read().expect("arena lock");
-            if arena.guard == Some(fp) {
-                return false;
-            }
-        }
-        let mut arena = self.arena.write().expect("arena lock");
-        if arena.guard != Some(fp) {
-            if !arena.slots.is_empty() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            arena.index.clear();
-            arena.slots.clear();
-            arena.guard = Some(fp);
-        }
-        true
-    }
-
-    /// Arena-then-database record fetch, filling the arena on miss.
-    pub(crate) fn memoized(&self, db: &ComponentDb, key: ComponentKey) -> Arc<ComponentRecord> {
-        {
-            let arena = self.arena.read().expect("arena lock");
-            if let Some(&i) = arena.index.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&arena.slots[i]);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let record = db.get(key);
-        let mut arena = self.arena.write().expect("arena lock");
-        match arena.index.get(&key) {
-            // Another thread filled the slot between our locks: serve
-            // its record so every caller sees one consistent value.
-            Some(&i) => Arc::clone(&arena.slots[i]),
-            None => {
-                let i = arena.slots.len();
-                arena.slots.push(Arc::clone(&record));
-                arena.index.insert(key, i);
-                record
-            }
-        }
-    }
-}
-
-/// The [`RecordSource`] view of a [`DeltaEvaluator`] + [`ComponentDb`]
-/// pair, with the guard already validated.
-struct MemoSource<'a> {
-    eval: &'a DeltaEvaluator,
-    db: &'a ComponentDb,
-}
-
-impl RecordSource for MemoSource<'_> {
-    fn record(&self, key: ComponentKey) -> Arc<ComponentRecord> {
-        self.eval.memoized(self.db, key)
+        let mut guard = self.guard.lock().expect("guard lock");
+        guard.replace(fp) != Some(fp)
     }
 }
 
@@ -299,50 +113,50 @@ impl RecordSource for MemoSource<'_> {
 
 /// The three cost-axis values of one point as produced by
 /// [`CarriedFolds::advance`] — bit-identical to what the scratch models
-/// (and [`DeltaEvaluator`]) return for the same architecture.
+/// return for the same architecture.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointCosts {
-    /// Area in NAND2 gate equivalents ([`AnnotatedAreaModel`]).
+    /// Area in NAND2 gate equivalents ([`crate::models::AnnotatedAreaModel`]).
     pub area: f64,
     /// Clock period in normalised gate delays
-    /// ([`AnnotatedTimingModel`]).
+    /// ([`crate::models::AnnotatedTimingModel`]).
     pub clock_period: f64,
-    /// eq.-(14) comparative test-cost total ([`Eq14TestCostModel`]).
+    /// eq.-(14) comparative test-cost total ([`crate::models::Eq14TestCostModel`]).
     pub test_total: f64,
 }
 
-/// Observability counters of the incremental engine, reported on
+/// Observability counters of the carried folds, reported on
 /// [`crate::explore::ExploreResult::delta`] and rendered by the CLI.
 ///
-/// Fold carries and scratch fallbacks are exact (the carry state is
-/// threaded serially through the walk); the arena counters are relaxed
-/// atomics — exact on serial sweeps, approximate interleavings under
-/// parallelism.
+/// Both counts are exact: the carry state is threaded serially through
+/// the walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Walk steps whose area/clock folds were carried from the
     /// Gray-adjacent predecessor (the O(1) retract/apply path).
     pub fold_carries: u64,
     /// Points folded from scratch instead: walk discontinuities, batch
-    /// boundaries, carry resets, or exactness guards firing.
+    /// boundaries, carry resets or database changes.
     pub scratch_fallbacks: u64,
-    /// Component-record fetches served from the memo arena.
-    pub arena_hits: u64,
-    /// Component-record fetches that fell through to the database.
-    pub arena_misses: u64,
-    /// Wholesale arena evictions (database fingerprint changed).
-    pub arena_evictions: u64,
 }
 
-/// Maximum per-record area admitted to the exact integer accumulator.
-/// With this bound and the `u32` multiplicities a carried sum stays far
-/// below 2⁵³, so every intermediate f64 partial sum of the scratch fold
-/// is an exactly-represented integer and the carried integer equals it
-/// bit-for-bit.
+/// Units per NAND2 gate equivalent of the exact area accumulator. Cell
+/// areas are quarter-GE multiples (`tta_netlist::library`), so every
+/// annotated record area is a whole number of 2⁻⁸-GE units; scaling by
+/// a power of two is exact.
+const AREA_UNITS: f64 = 256.0;
+
+/// Maximum per-record area admitted to the exact accumulator, in GE.
 const EXACT_AREA_LIMIT: f64 = (1u64 << 32) as f64;
 
+/// Carried unit sums below this bound reproduce the scratch fold
+/// bit-for-bit: its partial sums are non-negative multiples of 2⁻⁸ GE
+/// no larger than the total, so below 2⁴⁵ GE each fits the 53-bit f64
+/// significand and every addition of the fold is exact.
+const EXACT_UNIT_SUM_LIMIT: i64 = 1 << 53;
+
 /// One component's entry in the [`CarriedFolds`] mirror: how many times
-/// the current architecture uses it, and its memoized record.
+/// the current architecture uses it, and its record.
 #[derive(Debug, Clone)]
 struct MirrorSlot {
     count: u32,
@@ -368,11 +182,12 @@ struct TestOperands {
 /// contract (one knob, ±1) keeps that set tiny — and the area/clock
 /// folds are produced in O(1) float work from exact accumulators:
 ///
-/// * **area** as an `i64` sum of the (integral) record areas, admitted
-///   per record only below `EXACT_AREA_LIMIT` (2³², private); any non-integral or
-///   oversized contribution flips the point to a scratch refold over
-///   the mirror, in scratch order, so the result is bit-identical
-///   either way;
+/// * **area** as an `i64` sum of the record areas in 2⁻⁸-GE units,
+///   admitted per record only below `EXACT_AREA_LIMIT` (2³² GE,
+///   private); any off-grid or oversized contribution, or a total past
+///   `EXACT_UNIT_SUM_LIMIT`, flips the point to the scratch fold over
+///   the [`ComponentDb`], in scratch order, so the result is
+///   bit-identical either way;
 /// * **clock** as a max over the mirror's distinct critical paths —
 ///   order-independent for the positive/`+0.0` values the annotation
 ///   produces, with NaN/`-0.0` guards falling back to the ordered
@@ -384,8 +199,9 @@ struct TestOperands {
 ///   scratch path's per-component `String`s.
 ///
 /// Anything else — the first point, a rank gap (budget truncation
-/// re-sort), an arena eviction, an out-of-model point — rebuilds the
-/// mirror from the arena and counts a scratch fallback. The carry is
+/// re-sort), a database change caught by the [`DeltaEvaluator`] guard,
+/// an out-of-model point — rebuilds the mirror from the database and
+/// counts a scratch fallback. The carry is
 /// deliberately *not* shared across threads: the sweep stages it
 /// serially per chunk, which is exactly the walk order.
 #[derive(Debug)]
@@ -403,7 +219,8 @@ pub struct CarriedFolds {
     curr_ops: Vec<TestOperands>,
     /// Distinct components of the current point: multiplicity + record.
     mirror: FxHashMap<ComponentKey, MirrorSlot>,
-    /// Exact integer area sum over the mirror (with multiplicity).
+    /// Exact area sum over the mirror (with multiplicity), in
+    /// `AREA_UNITS` per GE.
     area_sum: i64,
     /// Contributions the integer accumulator could not admit.
     inexact: u32,
@@ -416,8 +233,7 @@ pub struct CarriedFolds {
 
 impl CarriedFolds {
     /// Empty carry state for a walk evaluated with `interconnect`
-    /// constants (must match the models the sweep runs — as for
-    /// [`DeltaEvaluator::new`]).
+    /// constants (must match the models the sweep runs).
     pub fn new(interconnect: InterconnectModel) -> Self {
         CarriedFolds {
             interconnect,
@@ -449,8 +265,9 @@ impl CarriedFolds {
 
     /// Costs of `arch`, the point at walk `rank`, carrying the folds
     /// from the previous call when `rank` is its direct successor and
-    /// refolding from scratch otherwise. Bit-identical to evaluating
-    /// `arch` through `eval` (and therefore to the scratch models).
+    /// refolding from scratch otherwise. Bit-identical to the scratch
+    /// models over `db`. `eval` guards the mirror: a database whose
+    /// fingerprint differs from the previous call's forces a refold.
     pub fn advance(
         &mut self,
         arch: &Architecture,
@@ -492,7 +309,7 @@ impl CarriedFolds {
                 self.retract_one(key);
             }
             for &key in &curr[prefix..curr.len() - suffix] {
-                self.apply_one(key, eval, db);
+                self.apply_one(key, db);
             }
             // Splice the aligned test operands: unchanged ends are a
             // `Copy` memmove, only the middle re-reads the mirror.
@@ -514,7 +331,7 @@ impl CarriedFolds {
             self.unordered_paths = 0;
             let keys = std::mem::take(&mut self.curr_keys);
             for &key in &keys {
-                self.apply_one(key, eval, db);
+                self.apply_one(key, db);
             }
             let mut ops = std::mem::take(&mut self.curr_ops);
             ops.clear();
@@ -526,7 +343,7 @@ impl CarriedFolds {
         self.last_rank = Some(rank);
         std::mem::swap(&mut self.prev_keys, &mut self.curr_keys);
         std::mem::swap(&mut self.prev_ops, &mut self.curr_ops);
-        self.costs_of(arch)
+        self.costs_of(arch, db)
     }
 
     /// Fills `curr_keys` with the fold-order key list of `arch`;
@@ -556,9 +373,9 @@ impl CarriedFolds {
         true
     }
 
-    /// Whether the exact integer accumulator can admit `area`.
+    /// Whether the exact accumulator can admit `area`.
     fn exactly_summable(area: f64) -> bool {
-        (0.0..=EXACT_AREA_LIMIT).contains(&area) && area.fract() == 0.0
+        (0.0..=EXACT_AREA_LIMIT).contains(&area) && (area * AREA_UNITS).fract() == 0.0
     }
 
     /// Whether the max fast path can fold `critical_path`
@@ -568,15 +385,15 @@ impl CarriedFolds {
         !critical_path.is_nan() && critical_path.to_bits() != (-0.0f64).to_bits()
     }
 
-    fn apply_one(&mut self, key: ComponentKey, eval: &DeltaEvaluator, db: &ComponentDb) {
+    fn apply_one(&mut self, key: ComponentKey, db: &ComponentDb) {
         let slot = self.mirror.entry(key).or_insert_with(|| MirrorSlot {
             count: 0,
-            record: eval.memoized(db, key),
+            record: db.get(key),
         });
         slot.count += 1;
         let area = slot.record.area;
         if Self::exactly_summable(area) {
-            self.area_sum += area as i64;
+            self.area_sum += (area * AREA_UNITS) as i64;
         } else {
             self.inexact += 1;
         }
@@ -605,7 +422,7 @@ impl CarriedFolds {
             self.mirror.remove(&key);
         }
         if Self::exactly_summable(record.area) {
-            self.area_sum -= record.area as i64;
+            self.area_sum -= (record.area * AREA_UNITS) as i64;
         } else {
             self.inexact -= 1;
         }
@@ -615,20 +432,22 @@ impl CarriedFolds {
     }
 
     /// The three axes from the current accumulators (plus, for test
-    /// cost, one ordered pass over `arch` against the mirror).
-    fn costs_of(&self, arch: &Architecture) -> PointCosts {
-        let src = MirrorRecords { folds: self };
-        let area = if self.inexact == 0 {
-            // Every contribution is an integer below the limit, so the
-            // scratch fold's sequential f64 sum is exact and equals the
-            // carried integer; finish with the scratch tail expression.
-            let area = self.area_sum as f64;
+    /// cost, one ordered pass over `arch` against the mirror). A fold
+    /// the accumulators cannot reproduce exactly reruns the scratch
+    /// fold over `db`.
+    fn costs_of(&self, arch: &Architecture, db: &ComponentDb) -> PointCosts {
+        let area = if self.inexact == 0 && self.area_sum < EXACT_UNIT_SUM_LIMIT {
+            // Every contribution is on the unit grid and the total is
+            // below the limit, so the scratch fold's sequential f64 sum
+            // is exact and equals the carried sum; finish with the
+            // scratch tail expression.
+            let area = self.area_sum as f64 / AREA_UNITS;
             let control = f64::from(tta_arch::InstructionFormat::of(arch).width())
                 * self.interconnect.control_area_per_instr_bit;
             area + control
                 + arch.bus_count() as f64 * arch.width as f64 * self.interconnect.bus_area_per_bit
         } else {
-            annotated_area(arch, &self.interconnect, &src)
+            annotated_area(arch, &self.interconnect, db)
         };
         let clock_period = if self.unordered_paths == 0 {
             // Scratch maxes over FU and RF records only — socket groups
@@ -641,7 +460,7 @@ impl CarriedFolds {
             }
             worst + arch.bus_count() as f64 * self.interconnect.bus_delay_penalty
         } else {
-            annotated_clock_period(arch, &self.interconnect, &src)
+            annotated_clock_period(arch, &self.interconnect, db)
         };
         PointCosts {
             area,
@@ -651,7 +470,7 @@ impl CarriedFolds {
     }
 
     /// The eq.-(14) total, folded in the exact op order of
-    /// [`test_cost_from`] but without materialising the per-component
+    /// [`crate::architecture_test_cost`] but without materialising the per-component
     /// breakdown, and without a single hash lookup: it walks the
     /// operand list [`CarriedFolds::advance`] maintained alongside the
     /// key list (left in `prev_ops` by the final swap — `[unit,
@@ -682,151 +501,14 @@ impl CarriedFolds {
     }
 }
 
-/// [`RecordSource`] over a [`CarriedFolds`] mirror — the lock-free
-/// fallback path for the ordered refolds. Only ever asked for keys the
-/// mirror holds (the fold key set *is* the mirror key set).
-struct MirrorRecords<'a> {
-    folds: &'a CarriedFolds,
-}
-
-impl RecordSource for MirrorRecords<'_> {
-    fn record(&self, key: ComponentKey) -> Arc<ComponentRecord> {
-        Arc::clone(&self.folds.mirror[&key].record)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Model wrappers: the default models, routed through one shared
-// evaluator. Their cache fingerprints delegate to the scratch models
-// they stand in for, so sweep-cache addresses are identical across
-// EvalMode — a delta run reads and extends a scratch run's cache file
-// byte-for-byte (and vice versa).
-// ---------------------------------------------------------------------
-
-/// [`AnnotatedAreaModel`] semantics through a shared [`DeltaEvaluator`].
-pub(crate) struct DeltaAreaModel {
-    inner: AnnotatedAreaModel,
-    eval: Arc<DeltaEvaluator>,
-}
-
-impl DeltaAreaModel {
-    pub(crate) fn new(interconnect: InterconnectModel, eval: Arc<DeltaEvaluator>) -> Self {
-        DeltaAreaModel {
-            inner: AnnotatedAreaModel::new(interconnect),
-            eval,
-        }
-    }
-}
-
-impl AreaModel for DeltaAreaModel {
-    fn area(&self, arch: &Architecture, db: &ComponentDb) -> f64 {
-        self.eval.area(arch, db)
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        self.inner.fingerprint()
-    }
-}
-
-/// [`AnnotatedTimingModel`] semantics through a shared
-/// [`DeltaEvaluator`].
-pub(crate) struct DeltaTimingModel {
-    inner: AnnotatedTimingModel,
-    eval: Arc<DeltaEvaluator>,
-}
-
-impl DeltaTimingModel {
-    pub(crate) fn new(interconnect: InterconnectModel, eval: Arc<DeltaEvaluator>) -> Self {
-        DeltaTimingModel {
-            inner: AnnotatedTimingModel::new(interconnect),
-            eval,
-        }
-    }
-}
-
-impl TimingModel for DeltaTimingModel {
-    fn clock_period(&self, arch: &Architecture, db: &ComponentDb) -> f64 {
-        self.eval.clock_period(arch, db)
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        self.inner.fingerprint()
-    }
-}
-
-/// [`Eq14TestCostModel`] semantics through a shared [`DeltaEvaluator`].
-pub(crate) struct DeltaTestCostModel {
-    inner: Eq14TestCostModel,
-    eval: Arc<DeltaEvaluator>,
-}
-
-impl DeltaTestCostModel {
-    pub(crate) fn new(eval: Arc<DeltaEvaluator>) -> Self {
-        DeltaTestCostModel {
-            inner: Eq14TestCostModel,
-            eval,
-        }
-    }
-}
-
-impl TestCostModel for DeltaTestCostModel {
-    fn test_cost(&self, arch: &Architecture, db: &ComponentDb) -> ArchTestCost {
-        self.eval.test_cost(arch, db)
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        self.inner.fingerprint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::{
+        AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel, TestCostModel,
+        TimingModel,
+    };
     use tta_arch::template::TemplateSpace;
-
-    fn to_bits(cost: &ArchTestCost) -> (u64, Vec<u64>) {
-        (
-            cost.total.to_bits(),
-            cost.components
-                .iter()
-                .map(|c| c.our_approach_cycles().to_bits())
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn delta_matches_scratch_bit_for_bit() {
-        let db = ComponentDb::new();
-        let ic = InterconnectModel::paper();
-        let eval = DeltaEvaluator::new(ic);
-        let area = AnnotatedAreaModel::new(ic);
-        let timing = AnnotatedTimingModel::new(ic);
-        // Twice over the space: cold arena, then warm.
-        for pass in 0..2 {
-            for arch in TemplateSpace::fast_default().enumerate() {
-                assert_eq!(
-                    eval.area(&arch, &db).to_bits(),
-                    area.area(&arch, &db).to_bits(),
-                    "area, pass {pass}, {}",
-                    arch.name
-                );
-                assert_eq!(
-                    eval.clock_period(&arch, &db).to_bits(),
-                    timing.clock_period(&arch, &db).to_bits(),
-                    "clock, pass {pass}, {}",
-                    arch.name
-                );
-                assert_eq!(
-                    to_bits(&eval.test_cost(&arch, &db)),
-                    to_bits(&Eq14TestCostModel.test_cost(&arch, &db)),
-                    "test cost, pass {pass}, {}",
-                    arch.name
-                );
-            }
-        }
-        assert!(!eval.is_empty(), "the sweep must have memoized records");
-        assert_eq!(eval.len(), db.len(), "arena mirrors the touched keys");
-    }
 
     #[test]
     fn carried_folds_match_scratch_along_the_walk() {
@@ -887,20 +569,55 @@ mod tests {
     }
 
     #[test]
-    fn wrappers_keep_scratch_fingerprints() {
-        let ic = InterconnectModel::paper();
-        let eval = Arc::new(DeltaEvaluator::new(ic));
-        assert_eq!(
-            DeltaAreaModel::new(ic, Arc::clone(&eval)).fingerprint(),
-            AnnotatedAreaModel::new(ic).fingerprint()
+    fn guard_rearms_only_when_the_database_fingerprint_changes() {
+        let eval = DeltaEvaluator::new(InterconnectModel::paper());
+        let db = ComponentDb::new();
+        let other = ComponentDb::with_engines(
+            tta_atpg::AtpgConfig::default(),
+            tta_dft::march::MarchAlgorithm::march_cminus(),
         );
-        assert_eq!(
-            DeltaTimingModel::new(ic, Arc::clone(&eval)).fingerprint(),
-            AnnotatedTimingModel::new(ic).fingerprint()
-        );
-        assert_eq!(
-            DeltaTestCostModel::new(eval).fingerprint(),
-            Eq14TestCostModel.fingerprint()
-        );
+        assert_ne!(db.fingerprint(), other.fingerprint());
+        assert!(eval.ensure_guard(&db), "the first database arms the guard");
+        assert!(!eval.ensure_guard(&db), "the same database keeps it");
+        assert!(!eval.ensure_guard(&ComponentDb::new()), "equal fingerprint");
+        assert!(eval.ensure_guard(&other), "a different engine re-arms it");
+        assert!(eval.ensure_guard(&db), "and so does switching back");
+    }
+
+    #[test]
+    fn exact_accumulators_admit_only_foldable_values() {
+        for area in [0.0, 0.25, 1.5, 1234.75, 3.0 / 256.0, EXACT_AREA_LIMIT] {
+            assert!(CarriedFolds::exactly_summable(area), "{area}");
+        }
+        for area in [0.1, 1.0 / 512.0, -0.25, EXACT_AREA_LIMIT * 2.0, f64::NAN] {
+            assert!(!CarriedFolds::exactly_summable(area), "{area}");
+        }
+        assert!(!CarriedFolds::exactly_summable(f64::INFINITY));
+        for path in [0.0, 7.5, f64::INFINITY] {
+            assert!(CarriedFolds::orderable_path(path), "{path}");
+        }
+        assert!(!CarriedFolds::orderable_path(f64::NAN));
+        assert!(!CarriedFolds::orderable_path(-0.0));
+    }
+
+    #[test]
+    fn every_record_area_of_the_paper_space_is_exactly_summable() {
+        // The carry only pays when the integer accumulator admits the
+        // records a sweep meets; an area off the 2⁻⁸-GE grid would send
+        // every point through the ordered scratch refold.
+        let db = ComponentDb::new();
+        let space = TemplateSpace::paper_default();
+        let mut carry = CarriedFolds::new(InterconnectModel::paper());
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..space.len() {
+            assert!(carry.collect_keys(&space.point(i)));
+            for &key in &carry.curr_keys {
+                if seen.insert(key) {
+                    let area = db.get(key).area;
+                    assert!(CarriedFolds::exactly_summable(area), "{key:?}: {area}");
+                }
+            }
+        }
+        assert!(!seen.is_empty());
     }
 }

@@ -111,10 +111,7 @@ use crate::cache::{
     arch_fingerprint, workload_fingerprint, EvalEntry, Fingerprint, SweepCache,
     CACHE_ADDRESS_VERSION,
 };
-use crate::delta::{
-    CarriedFolds, DeltaAreaModel, DeltaEvaluator, DeltaStats, DeltaTestCostModel, DeltaTimingModel,
-    PointCosts,
-};
+use crate::delta::{CarriedFolds, DeltaEvaluator, DeltaStats, PointCosts};
 use crate::models::{
     keys_of, AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel,
     InterconnectModel, NetlistAreaModel, NetlistEvaluator, NetlistTimingModel, TestCostModel,
@@ -369,48 +366,6 @@ impl std::fmt::Display for CycleSource {
     }
 }
 
-/// How the *default* cost models evaluate a point.
-///
-/// [`EvalMode::Delta`] (the default) routes the three default models
-/// through one shared [`crate::delta::DeltaEvaluator`]: per-component
-/// records are memoized in a flat arena keyed by
-/// [`crate::ComponentKey`], so a point re-costs only the components the
-/// previous points have not already touched. Results are
-/// **bit-identical** to [`EvalMode::Scratch`] — same objectives, same
-/// front, same cache addresses (the delta wrappers fingerprint as the
-/// scratch models they stand in for) — because both modes run the same
-/// fold code over the same records; only the record-fetch path differs.
-///
-/// Custom models installed via [`Exploration::models`] and friends are
-/// never wrapped: the mode only governs the defaults, so a custom
-/// model's semantics (and its cache identity) are exactly what its
-/// author wrote in either mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EvalMode {
-    /// Every point evaluated from scratch against the [`ComponentDb`].
-    Scratch,
-    /// Per-component memoization through the delta evaluator (default).
-    #[default]
-    Delta,
-}
-
-impl EvalMode {
-    /// Short machine-readable label (`scratch` / `delta`), used by CLI
-    /// flags and structured output.
-    pub fn label(self) -> &'static str {
-        match self {
-            EvalMode::Scratch => "scratch",
-            EvalMode::Delta => "delta",
-        }
-    }
-}
-
-impl std::fmt::Display for EvalMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Where the area and clock axes of a point come from.
 ///
 /// The default, [`FidelityMode::Table`], is the paper's back-annotation
@@ -536,8 +491,8 @@ pub struct SweepProgress {
     pub front: usize,
     /// Total number of points in the template space.
     pub space_len: usize,
-    /// Incremental-engine counters at this instant (`Some` under
-    /// [`EvalMode::Delta`]); see [`ExploreResult::delta`].
+    /// Carried-fold counters at this instant (always `Some`); see
+    /// [`ExploreResult::delta`].
     pub delta: Option<DeltaStats>,
 }
 
@@ -636,14 +591,12 @@ pub struct ExploreResult {
     /// Whether the attached persistent cache (if any) saved its
     /// entries; see [`CacheStatus`].
     pub cache_status: CacheStatus,
-    /// Incremental-engine counters ([`DeltaStats`]): `Some` exactly
-    /// when the sweep ran under [`EvalMode::Delta`]. Fold carries are
-    /// non-zero only for strategies that request the Gray-code
-    /// neighbour walk with all three default cost models in effect;
-    /// arena counters cover every memoized record fetch. The counters
-    /// are observability, never part of the bit-identity contract —
-    /// a parallel sweep may count arena traffic differently from a
-    /// serial one while producing identical objectives.
+    /// Carried-fold counters ([`DeltaStats`]), `Some` on every run.
+    /// They are non-zero only for strategies that request the Gray-code
+    /// neighbour walk with all three default cost models in effect. The
+    /// counters are observability, never part of the bit-identity
+    /// contract: a warm cache skips walk steps and so lowers them while
+    /// producing identical objectives.
     pub delta: Option<DeltaStats>,
     /// Whether the run stopped at a cancellation point
     /// ([`Exploration::cancel_token`]) before the strategy was done.
@@ -830,7 +783,6 @@ pub struct Exploration<'db> {
     seed: Option<u64>,
     lift: LiftMode,
     cycle_source: CycleSource,
-    eval_mode: EvalMode,
     fidelity: FidelityMode,
     cancel: Option<CancelToken>,
     progress: Option<ProgressObserver<'db>>,
@@ -870,7 +822,6 @@ impl<'db> Exploration<'db> {
             seed: None,
             lift: LiftMode::default(),
             cycle_source: CycleSource::default(),
-            eval_mode: EvalMode::default(),
             fidelity: FidelityMode::default(),
             cancel: None,
             progress: None,
@@ -999,15 +950,6 @@ impl<'db> Exploration<'db> {
     /// scheduler/model drift into a visible objective change.
     pub fn cycle_source(mut self, source: CycleSource) -> Self {
         self.cycle_source = source;
-        self
-    }
-
-    /// Chooses how the *default* cost models evaluate a point (default
-    /// [`EvalMode::Delta`], the memoizing incremental path). Results
-    /// are bit-identical between the modes — this knob trades lock/hash
-    /// traffic, never output. See [`EvalMode`].
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
         self
     }
 
@@ -1143,8 +1085,8 @@ impl<'db> Exploration<'db> {
         // Netlist fidelity fills the *empty* area/timing slots with the
         // elaboration-backed models before anything inspects the slots:
         // downstream, the slots simply hold custom models (carried folds
-        // disengage, the delta wrappers keep serving the test axis, and
-        // the cache addresses change through the model fingerprints).
+        // disengage and the cache addresses change through the model
+        // fingerprints).
         if self.fidelity == FidelityMode::Netlist {
             let eval = Arc::new(NetlistEvaluator::new());
             if self.area.is_none() {
@@ -1168,7 +1110,7 @@ impl<'db> Exploration<'db> {
         // once, so it engages only when every model slot is a default.
         let all_defaults = self.area.is_none() && self.timing.is_none() && self.test.is_none();
         let interconnect = self.interconnect;
-        let (area, timing, test, delta_eval) = self.resolve_models();
+        let (area, timing, test) = self.resolve_models();
         let owned_db;
         let db: &ComponentDb = match self.db {
             Some(db) => db,
@@ -1184,19 +1126,20 @@ impl<'db> Exploration<'db> {
         let strategy_salt = strategy.cache_salt();
         let budget = self.budget.unwrap_or(usize::MAX);
         let seed = self.seed.unwrap_or(0);
-        // True incremental evaluation: under the delta engine, default
-        // models and a strategy that asks for the Gray-code neighbour
-        // walk, a serial pre-pass advances per-point cost folds by
-        // retracting/applying only the one changed component — O(1)
-        // arithmetic per walk step instead of a full refold. Results
-        // are bit-identical to the scratch models (CarriedFolds'
-        // contract); everything else falls back to per-point folds.
-        let mut carry: Option<(CarriedFolds, Arc<DeltaEvaluator>)> = match &delta_eval {
-            Some(eval) if all_defaults && strategy.walk_order() == WalkOrder::Neighbour => {
-                Some((CarriedFolds::new(interconnect), Arc::clone(eval)))
-            }
-            _ => None,
-        };
+        // True incremental evaluation: under default models and a
+        // strategy that asks for the Gray-code neighbour walk, a serial
+        // pre-pass advances per-point cost folds by retracting/applying
+        // only the one changed component — O(1) arithmetic per walk step
+        // instead of a full refold. Results are bit-identical to the
+        // scratch models (CarriedFolds' contract); everything else
+        // folds each point through the models.
+        let mut carry: Option<(CarriedFolds, DeltaEvaluator)> =
+            (all_defaults && strategy.walk_order() == WalkOrder::Neighbour).then(|| {
+                (
+                    CarriedFolds::new(interconnect),
+                    DeltaEvaluator::new(interconnect),
+                )
+            });
 
         // Content-address bases for the persistent cache: everything
         // that determines a point's result except the point itself.
@@ -1353,9 +1296,9 @@ impl<'db> Exploration<'db> {
             }
             // A strategy may ask for its batches to be *evaluated* in
             // neighbour (Gray-walk) order: consecutive points then
-            // differ in one template knob, which maximises reuse in the
-            // delta evaluator's memo arena. The re-sort happens after
-            // budget truncation, so it changes when a point is
+            // differ in one template knob, which lets the carried folds
+            // exchange a single component per step. The re-sort happens
+            // after budget truncation, so it changes when a point is
             // evaluated, never whether — and per-point cache addresses
             // are visit-order independent.
             if strategy.walk_order() == WalkOrder::Neighbour {
@@ -1640,7 +1583,7 @@ impl<'db> Exploration<'db> {
                         infeasible,
                         front: archive.len(),
                         space_len,
-                        delta: delta_snapshot(&delta_eval, &carry),
+                        delta: delta_snapshot(&carry),
                     });
                 }
             }
@@ -1717,7 +1660,7 @@ impl<'db> Exploration<'db> {
             }
         }
 
-        let delta = delta_snapshot(&delta_eval, &carry);
+        let delta = delta_snapshot(&carry);
 
         let caching_active =
             eval_cache.is_some() || (lift == LiftMode::ParetoOnly && test_cache.is_some());
@@ -1756,72 +1699,39 @@ impl<'db> Exploration<'db> {
     }
 
     /// Resolves the installed or default models (defaults parameterised
-    /// by the configured [`InterconnectModel`]). Under
-    /// [`EvalMode::Delta`] the default slots get the delta wrappers,
-    /// all sharing one memo arena for the run; custom models are never
-    /// wrapped (and unfingerprintable ones therefore never memoize).
+    /// by the configured [`InterconnectModel`]).
     fn resolve_models(&mut self) -> ResolvedModels {
         let ic = self.interconnect;
-        match self.eval_mode {
-            EvalMode::Scratch => (
-                self.area
-                    .take()
-                    .unwrap_or_else(|| Box::new(AnnotatedAreaModel::new(ic))),
-                self.timing
-                    .take()
-                    .unwrap_or_else(|| Box::new(AnnotatedTimingModel::new(ic))),
-                self.test
-                    .take()
-                    .unwrap_or_else(|| Box::new(Eq14TestCostModel)),
-                None,
-            ),
-            EvalMode::Delta => {
-                let eval = Arc::new(DeltaEvaluator::new(ic));
-                (
-                    self.area
-                        .take()
-                        .unwrap_or_else(|| Box::new(DeltaAreaModel::new(ic, Arc::clone(&eval)))),
-                    self.timing
-                        .take()
-                        .unwrap_or_else(|| Box::new(DeltaTimingModel::new(ic, Arc::clone(&eval)))),
-                    self.test
-                        .take()
-                        .unwrap_or_else(|| Box::new(DeltaTestCostModel::new(Arc::clone(&eval)))),
-                    Some(eval),
-                )
-            }
-        }
+        (
+            self.area
+                .take()
+                .unwrap_or_else(|| Box::new(AnnotatedAreaModel::new(ic))),
+            self.timing
+                .take()
+                .unwrap_or_else(|| Box::new(AnnotatedTimingModel::new(ic))),
+            self.test
+                .take()
+                .unwrap_or_else(|| Box::new(Eq14TestCostModel)),
+        )
     }
 }
 
-/// The incremental-engine counters at one instant of a run: `Some`
-/// exactly under [`EvalMode::Delta`]; carried-fold counts when the
-/// carry engaged, zeros otherwise. Shared by the per-chunk
+/// The carried-fold counters at one instant of a run: the carry's
+/// counts when it engaged, zeros otherwise. Shared by the per-chunk
 /// [`SweepProgress`] snapshots and the final [`ExploreResult::delta`].
-fn delta_snapshot(
-    delta_eval: &Option<Arc<DeltaEvaluator>>,
-    carry: &Option<(CarriedFolds, Arc<DeltaEvaluator>)>,
-) -> Option<DeltaStats> {
-    delta_eval.as_ref().map(|eval| {
-        let (fold_carries, scratch_fallbacks) = carry.as_ref().map_or((0, 0), |(c, _)| c.stats());
-        let (arena_hits, arena_misses, arena_evictions) = eval.arena_counters();
-        DeltaStats {
-            fold_carries,
-            scratch_fallbacks,
-            arena_hits,
-            arena_misses,
-            arena_evictions,
-        }
+fn delta_snapshot(carry: &Option<(CarriedFolds, DeltaEvaluator)>) -> Option<DeltaStats> {
+    let (fold_carries, scratch_fallbacks) = carry.as_ref().map_or((0, 0), |(c, _)| c.stats());
+    Some(DeltaStats {
+        fold_carries,
+        scratch_fallbacks,
     })
 }
 
-/// The three resolved model slots plus the shared memo arena (present
-/// only under [`EvalMode::Delta`] with default slots to wrap).
+/// The three resolved model slots.
 type ResolvedModels = (
     Box<dyn AreaModel>,
     Box<dyn TimingModel>,
     Box<dyn TestCostModel>,
-    Option<Arc<DeltaEvaluator>>,
 );
 
 /// One sweep evaluation: a feasible point, or why the point dropped
@@ -1965,7 +1875,7 @@ fn dehydrate_feasible(e: &EvaluatedArch, test: Option<(u64, u64)>) -> EvalEntry 
 }
 
 /// Where a point's area and clock-period axes come from: the cost
-/// models (scratch or delta fold, both O(components) per point), or an
+/// models (an O(components) fold per point), or an
 /// already-advanced carried fold (the O(1) incremental path). The two
 /// sources are bit-identical by [`CarriedFolds`]' contract.
 #[derive(Clone, Copy)]
@@ -2108,7 +2018,7 @@ mod tests {
             .with_db(&db)
             .strategy(crate::search::Exhaustive::neighbour())
             .run();
-        let stats = walked.delta.as_ref().expect("delta engine reports stats");
+        let stats = walked.delta.as_ref().expect("every run reports stats");
         // A full neighbour walk carries almost every step (fallbacks
         // happen only at the walk start and out-of-model resets).
         assert!(stats.fold_carries > 0, "{stats:?}");
@@ -2123,16 +2033,22 @@ mod tests {
             .workload(&w)
             .with_db(&db)
             .run();
-        let plain_stats = plain.delta.as_ref().expect("delta is the default mode");
+        let plain_stats = plain.delta.as_ref().expect("every run reports stats");
         assert_eq!(plain_stats.fold_carries, 0, "{plain_stats:?}");
-        // Scratch mode has no delta engine at all.
+        // Explicitly installed default models turn the carry off: the
+        // scratch oracle, still reporting (zero) stats.
+        let ic = InterconnectModel::paper();
         let scratch = Exploration::over(TemplateSpace::fast_default())
             .workload(&w)
             .with_db(&db)
             .strategy(crate::search::Exhaustive::neighbour())
-            .eval_mode(EvalMode::Scratch)
+            .models(
+                AnnotatedAreaModel::new(ic),
+                AnnotatedTimingModel::new(ic),
+                Eq14TestCostModel,
+            )
             .run();
-        assert!(scratch.delta.is_none());
+        assert_eq!(scratch.delta, Some(DeltaStats::default()));
         // And the three runs agree bit-for-bit.
         for (a, b) in walked.evaluated.iter().zip(&scratch.evaluated) {
             assert_eq!(a.architecture.name, b.architecture.name);
@@ -2619,13 +2535,9 @@ mod tests {
         assert_eq!(last.feasible, observed.evaluated.len());
         assert_eq!(last.infeasible, observed.infeasible);
         assert_eq!(last.space_len, TemplateSpace::huge().len());
-        // The result's stats are snapshotted after the lift stage, which
-        // keeps using the memo arena — so the last chunk's snapshot
-        // agrees on the fold counters and lower-bounds the arena ones.
-        let (snap, fin) = (last.delta.unwrap(), observed.delta.unwrap());
-        assert_eq!(snap.fold_carries, fin.fold_carries);
-        assert_eq!(snap.scratch_fallbacks, fin.scratch_fallbacks);
-        assert!(snap.arena_hits <= fin.arena_hits);
+        // The lift stage after the last chunk never advances the carry,
+        // so the last chunk's snapshot equals the result's stats.
+        assert_eq!(last.delta, observed.delta);
         // Observability only: the observer changes no result bit.
         assert_eq!(observed.pareto, plain.pareto);
         for (a, b) in observed.evaluated.iter().zip(&plain.evaluated) {

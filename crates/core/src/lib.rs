@@ -100,8 +100,8 @@ pub use backannotate::{ComponentDb, ComponentKey, ComponentRecord};
 pub use cache::SweepCache;
 pub use delta::{CarriedFolds, DeltaEvaluator, DeltaStats, PointCosts};
 pub use explore::{
-    CacheStatus, CancelToken, CycleSource, EvalMode, EvaluatedArch, Exploration, ExploreError,
-    ExploreResult, FidelityMode, LiftMode, Objective, ObjectiveVector, SearchInfo, SweepProgress,
+    CacheStatus, CancelToken, CycleSource, EvaluatedArch, Exploration, ExploreError, ExploreResult,
+    FidelityMode, LiftMode, Objective, ObjectiveVector, SearchInfo, SweepProgress,
     WorkloadBreakdown,
 };
 pub use models::{

@@ -22,7 +22,7 @@
 use tta_arch::{Architecture, FuKind, InstructionFormat};
 use tta_dft::testtime::multi_chain_scan_cycles;
 
-use crate::backannotate::{ComponentDb, ComponentKey, RecordSource};
+use crate::backannotate::{ComponentDb, ComponentKey};
 use crate::cache::Fingerprint;
 use crate::testcost::{
     architecture_test_cost, out_of_model, socket_state_bits, ArchTestCost, ComponentTestCost,
@@ -162,25 +162,24 @@ impl AreaModel for AnnotatedAreaModel {
     }
 }
 
-/// The [`AnnotatedAreaModel`] fold over an arbitrary [`RecordSource`] —
-/// the one float code path shared by the scratch model above and the
-/// memoizing [`crate::delta::DeltaEvaluator`], so the two are
-/// bit-identical by construction.
+/// The [`AnnotatedAreaModel`] fold — shared with the ordered refold of
+/// [`crate::delta::CarriedFolds`], so the two are bit-identical by
+/// construction.
 pub(crate) fn annotated_area(
     arch: &Architecture,
     interconnect: &InterconnectModel,
-    src: &dyn RecordSource,
+    db: &ComponentDb,
 ) -> f64 {
     let Some(w) = key_width(arch) else {
         return f64::INFINITY;
     };
     let mut area = 0.0;
     for fu in arch.fus() {
-        area += src.record(ComponentKey::for_fu(fu.kind, w)).area;
+        area += db.get(ComponentKey::for_fu(fu.kind, w)).area;
         let Some(sock) = ComponentKey::socket_group(w, fu.kind.input_ports()) else {
             return f64::INFINITY;
         };
-        area += src.record(sock).area;
+        area += db.get(sock).area;
     }
     for rf in arch.rfs() {
         let (Some(key), Some(sock)) = (
@@ -189,8 +188,8 @@ pub(crate) fn annotated_area(
         ) else {
             return f64::INFINITY;
         };
-        area += src.record(key).area;
-        area += src.record(sock).area;
+        area += db.get(key).area;
+        area += db.get(sock).area;
     }
     let control =
         f64::from(InstructionFormat::of(arch).width()) * interconnect.control_area_per_instr_bit;
@@ -227,26 +226,25 @@ impl TimingModel for AnnotatedTimingModel {
     }
 }
 
-/// The [`AnnotatedTimingModel`] fold over an arbitrary [`RecordSource`]
-/// — shared with [`crate::delta::DeltaEvaluator`] like
-/// [`annotated_area`].
+/// The [`AnnotatedTimingModel`] fold — shared with
+/// [`crate::delta::CarriedFolds`] like [`annotated_area`].
 pub(crate) fn annotated_clock_period(
     arch: &Architecture,
     interconnect: &InterconnectModel,
-    src: &dyn RecordSource,
+    db: &ComponentDb,
 ) -> f64 {
     let Some(w) = key_width(arch) else {
         return f64::INFINITY;
     };
     let mut worst: f64 = 0.0;
     for fu in arch.fus() {
-        worst = worst.max(src.record(ComponentKey::for_fu(fu.kind, w)).critical_path);
+        worst = worst.max(db.get(ComponentKey::for_fu(fu.kind, w)).critical_path);
     }
     for rf in arch.rfs() {
         let Some(key) = ComponentKey::for_rf(rf, w) else {
             return f64::INFINITY;
         };
-        worst = worst.max(src.record(key).critical_path);
+        worst = worst.max(db.get(key).critical_path);
     }
     worst + arch.bus_count() as f64 * interconnect.bus_delay_penalty
 }

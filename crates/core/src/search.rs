@@ -16,7 +16,7 @@
 //! * [`NeighbourExhaustive`] ([`Exhaustive::neighbour`]) — every point,
 //!   in the Gray-walk neighbour order
 //!   ([`TemplateSpace::neighbour_order`]): consecutive points differ in
-//!   one knob, maximising reuse in the delta evaluator's memo arena.
+//!   one knob, so the carried folds exchange one component per step.
 //!   Same point set and per-point cache keys as [`Exhaustive`].
 //! * [`RandomSample`] — a seeded uniform sample of at most `budget`
 //!   distinct points. Deterministic per seed.

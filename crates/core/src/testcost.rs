@@ -21,7 +21,7 @@
 
 use tta_arch::{timing, Architecture, FuKind};
 
-use crate::backannotate::{ComponentDb, ComponentKey, RecordSource};
+use crate::backannotate::{ComponentDb, ComponentKey};
 
 /// Test cost of one datapath component (one Table 1 row).
 #[derive(Debug, Clone)]
@@ -138,26 +138,18 @@ pub(crate) fn out_of_model() -> ArchTestCost {
 /// geometry overflowing the [`ComponentKey`] fields) get an empty
 /// breakdown with an infinite total rather than a truncated-key cost.
 pub fn architecture_test_cost(arch: &Architecture, db: &ComponentDb) -> ArchTestCost {
-    test_cost_from(arch, db)
-}
-
-/// The eq.-(14) fold over an arbitrary [`RecordSource`] — the one code
-/// path shared by [`architecture_test_cost`] and the memoizing
-/// [`crate::delta::DeltaEvaluator`], so scratch and delta test costs are
-/// bit-identical by construction.
-pub(crate) fn test_cost_from(arch: &Architecture, src: &dyn RecordSource) -> ArchTestCost {
     let Ok(w) = u16::try_from(arch.width) else {
         return out_of_model();
     };
     let mut components = Vec::new();
 
     for fu in arch.fus() {
-        let rec = src.record(ComponentKey::for_fu(fu.kind, w)).clone();
+        let rec = db.get(ComponentKey::for_fu(fu.kind, w));
         let n_inputs = fu.kind.input_ports();
         let Some(sock_key) = ComponentKey::socket_group(w, n_inputs) else {
             return out_of_model();
         };
-        let sock = src.record(sock_key).clone();
+        let sock = db.get(sock_key);
         let cd = timing::transport_cycles(fu);
         let nl = rec.ff_infrastructure + socket_state_bits(n_inputs);
         let excluded = matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate);
@@ -181,8 +173,8 @@ pub(crate) fn test_cost_from(arch: &Architecture, src: &dyn RecordSource) -> Arc
         ) else {
             return out_of_model();
         };
-        let rec = src.record(key).clone();
-        let sock = src.record(sock_key).clone();
+        let rec = db.get(key);
+        let sock = db.get(sock_key);
         let cd = timing::rf_transport_cycles(rf.write_ports[0], rf.read_ports[0]);
         let nl = rec.ff_infrastructure + socket_state_bits(rf.nin());
         components.push(ComponentTestCost {

@@ -1,29 +1,31 @@
-//! Differential tests of the incremental (delta) evaluation engine.
+//! Differential tests of the carried folds ([`tta_core::CarriedFolds`]).
 //!
-//! The headline guarantee of [`tta_core::explore::EvalMode`]: `Delta`
-//! is **bit-identical** to `Scratch` — objectives, Pareto front,
-//! blocked accounting, cache addresses, even the flushed cache file —
-//! across spaces, strategies, seeds, lift modes, cycle sources and test
-//! models. These tests enforce it on exact `f64` bit patterns, plus the
-//! memo-arena staleness guarantees: a primed (deliberately wrong)
-//! record is served while the database fingerprint matches, and never
-//! survives a fingerprint change.
+//! The headline guarantee: a sweep with the default models, which
+//! carries its folds along Gray walks, is **bit-identical** to the
+//! scratch oracle — the same default models installed explicitly, which
+//! turns the carry off and folds every point through the models —
+//! objectives, Pareto front, blocked accounting, cache addresses, even
+//! the flushed cache file — across spaces, strategies, seeds, lift
+//! modes, cycle sources and test models. These tests enforce it on exact
+//! `f64` bit patterns, plus the staleness guarantee: a carry never folds
+//! records from a database whose fingerprint has changed.
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use tta_arch::template::TemplateSpace;
-use tta_arch::Architecture;
 use tta_atpg::AtpgConfig;
-use tta_core::explore::{CycleSource, EvalMode, Exploration, ExploreResult, LiftMode};
-use tta_core::models::{AnnotatedAreaModel, AreaModel, InterconnectModel, ScanTestCostModel};
+use tta_core::explore::{CycleSource, Exploration, ExploreResult, LiftMode};
+use tta_core::models::{
+    AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel, InterconnectModel,
+    ScanTestCostModel, TestCostModel, TimingModel,
+};
 use tta_core::search::{
     Exhaustive, HillClimb, RandomSample, SearchContext, SearchStrategy, WalkOrder,
 };
-use tta_core::{ComponentDb, ComponentKey, DeltaEvaluator, SweepCache};
+use tta_core::{CarriedFolds, ComponentDb, DeltaEvaluator, DeltaStats, SweepCache};
 use tta_dft::march::MarchAlgorithm;
 use tta_workloads::suite;
 
@@ -79,18 +81,35 @@ fn assert_bit_identical(a: &ExploreResult, b: &ExploreResult) {
     }
 }
 
+/// A pipeline over `space`: with the default models (`oracle` false),
+/// or with the scratch oracle — the same default models installed
+/// explicitly, which turns the carried folds off. Later custom model
+/// calls still replace the oracle's slots.
+fn over(space: TemplateSpace, oracle: bool) -> Exploration<'static> {
+    let e = Exploration::over(space);
+    if !oracle {
+        return e;
+    }
+    let ic = InterconnectModel::paper();
+    e.models(
+        AnnotatedAreaModel::new(ic),
+        AnnotatedTimingModel::new(ic),
+        Eq14TestCostModel,
+    )
+}
+
 /// Builds the sweep both ways and checks bit-identity.
-fn assert_modes_agree(build: impl Fn(EvalMode) -> Exploration<'static>) {
-    let scratch = build(EvalMode::Scratch).run();
-    let delta = build(EvalMode::Delta).run();
+fn assert_modes_agree(build: impl Fn(bool) -> Exploration<'static>) {
+    let scratch = build(true).run();
+    let delta = build(false).run();
     assert_bit_identical(&scratch, &delta);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Delta == scratch, bit for bit, over random strategies, seeds,
-    /// budgets, lift modes and threading.
+    /// Default models == the scratch oracle, bit for bit, over random
+    /// strategies, seeds, budgets, lift modes and threading.
     #[test]
     fn delta_equals_scratch_across_strategies(
         strategy in 0usize..4,
@@ -99,15 +118,14 @@ proptest! {
         full_lift in proptest::bool::ANY,
         parallel in proptest::bool::ANY,
     ) {
-        let build = move |mode: EvalMode| {
+        let build = move |oracle: bool| {
             let w = suite::crypt(1);
             let lift = if full_lift { LiftMode::Full } else { LiftMode::ParetoOnly };
-            let e = Exploration::over(TemplateSpace::fast_default())
+            let e = over(TemplateSpace::fast_default(), oracle)
                 .workload(&w)
                 .with_db(db())
                 .lift(lift)
                 .parallel(parallel)
-                .eval_mode(mode)
                 .seed(seed);
             match strategy {
                 0 => e.strategy(Exhaustive),
@@ -116,8 +134,8 @@ proptest! {
                 _ => e.strategy(HillClimb::default()).budget(budget),
             }
         };
-        let scratch = build(EvalMode::Scratch).run();
-        let delta = build(EvalMode::Delta).run();
+        let scratch = build(true).run();
+        let delta = build(false).run();
         assert_bit_identical(&scratch, &delta);
     }
 }
@@ -126,69 +144,67 @@ proptest! {
 fn delta_equals_scratch_on_weighted_suites_and_simulated_cycles() {
     let a = suite::crypt(1);
     let b = suite::checksum32();
-    assert_modes_agree(|mode| {
-        Exploration::over(TemplateSpace::tiny())
+    assert_modes_agree(|oracle| {
+        over(TemplateSpace::tiny(), oracle)
             .workload_weighted(&a, 2.5)
             .workload_weighted(&b, 0.5)
             .with_db(db())
             .cycle_source(CycleSource::Simulate)
-            .eval_mode(mode)
     });
 }
 
 #[test]
 fn delta_equals_scratch_under_a_custom_test_model() {
-    // ScanTestCostModel is a *custom* model slot: the delta path must
-    // leave it untouched (only defaults are wrapped) and still match
-    // scratch bit-for-bit on the remaining default axes.
-    assert_modes_agree(|mode| {
+    // ScanTestCostModel is a *custom* model slot: it replaces the
+    // oracle's eq.-14 slot, and the remaining default axes must still
+    // match the explicit models bit-for-bit.
+    assert_modes_agree(|oracle| {
         let w = suite::crypt(1);
-        Exploration::over(TemplateSpace::tiny())
+        over(TemplateSpace::tiny(), oracle)
             .workload(&w)
             .with_db(db())
             .test_cost_model(ScanTestCostModel::with_chains(2))
             .lift(LiftMode::Full)
-            .eval_mode(mode)
     });
 }
 
-/// The two modes share one cache namespace: same addresses, same
-/// entries, byte-identical flushed files — and a warm delta run answers
-/// entirely from a scratch run's cache (and vice versa).
+/// Default and explicitly installed default models share one cache
+/// namespace: same addresses, same entries, byte-identical flushed
+/// files — and a warm default run answers entirely from the oracle's
+/// cache.
 #[test]
 fn delta_and_scratch_share_byte_identical_cache_files() {
     let w = suite::crypt(1);
-    let run = |mode: EvalMode, cache: &SweepCache| {
-        Exploration::over(TemplateSpace::fast_default())
+    let run = |oracle: bool, cache: &SweepCache| {
+        over(TemplateSpace::fast_default(), oracle)
             .workload(&w)
             .with_db(db())
             .cache(cache)
-            .eval_mode(mode)
             .run()
     };
     let dir_s = tmpdir("scratch");
     let dir_d = tmpdir("delta");
     let cache_s = SweepCache::open(&dir_s).expect("temp dir is writable");
     let cache_d = SweepCache::open(&dir_d).expect("temp dir is writable");
-    let scratch = run(EvalMode::Scratch, &cache_s);
-    let delta = run(EvalMode::Delta, &cache_d);
+    let scratch = run(true, &cache_s);
+    let delta = run(false, &cache_d);
     assert_bit_identical(&scratch, &delta);
     let file_s = fs::read(cache_s.path()).expect("scratch cache flushed");
     let file_d = fs::read(cache_d.path()).expect("delta cache flushed");
     assert_eq!(file_s, file_d, "cache files must be byte-identical");
 
-    // Cross-warm: delta over the scratch-written cache hits everything.
+    // Cross-warm: a default run over the oracle's cache hits everything.
     let warm = SweepCache::open(&dir_s).expect("reopen");
-    let replay = run(EvalMode::Delta, &warm);
-    assert_eq!(warm.misses(), 0, "warm delta run must not evaluate");
+    let replay = run(false, &warm);
+    assert_eq!(warm.misses(), 0, "warm default run must not evaluate");
     assert!(warm.hits() > 0);
     assert_bit_identical(&scratch, &replay);
     let _ = fs::remove_dir_all(&dir_s);
     let _ = fs::remove_dir_all(&dir_d);
 }
 
-/// An interrupted (budgeted) delta run resumed over the same cache
-/// finishes bit-identical to an uninterrupted scratch sweep.
+/// An interrupted (budgeted) run resumed over the same cache finishes
+/// bit-identical to an uninterrupted scratch sweep.
 #[test]
 fn resumed_delta_run_matches_uninterrupted_scratch() {
     let w = suite::crypt(1);
@@ -200,20 +216,14 @@ fn resumed_delta_run_matches_uninterrupted_scratch() {
         .workload(&w)
         .with_db(db())
         .cache(&cache)
-        .eval_mode(EvalMode::Delta)
         .budget(half)
         .run();
     let resumed = Exploration::over(space.clone())
         .workload(&w)
         .with_db(db())
         .cache(&cache)
-        .eval_mode(EvalMode::Delta)
         .run();
-    let oracle = Exploration::over(space)
-        .workload(&w)
-        .with_db(db())
-        .eval_mode(EvalMode::Scratch)
-        .run();
+    let oracle = over(space, true).workload(&w).with_db(db()).run();
     assert_bit_identical(&resumed, &oracle);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -281,37 +291,12 @@ fn neighbour_walk_matches_enumeration_order_point_for_point() {
     let _ = fs::remove_dir_all(&dir_n);
 }
 
-/// Memoization is real: a deliberately wrong record primed under the
-/// *matching* database fingerprint is served instead of the database's
-/// own record.
+/// Staleness is caught: a carry advanced under one database and then
+/// under another (different engine fingerprint) refolds at the switch,
+/// even though the step is rank-adjacent, and every axis equals the new
+/// database's scratch models bit for bit.
 #[test]
-fn primed_record_is_served_while_the_guard_matches() {
-    let db = ComponentDb::new();
-    let ic = InterconnectModel::paper();
-    let eval = DeltaEvaluator::new(ic);
-    let arch = TemplateSpace::tiny().point(0);
-    let honest = eval.area(&arch, &db);
-    assert_eq!(
-        honest.to_bits(),
-        AnnotatedAreaModel::new(ic).area(&arch, &db).to_bits()
-    );
-
-    let key = ComponentKey::Alu(8);
-    let mut poisoned = (*db.get(key)).clone();
-    poisoned.area += 1_000_000.0;
-    eval.prime(db.fingerprint(), key, poisoned);
-    let skewed = eval.area(&arch, &db);
-    assert!(
-        skewed > honest + 500_000.0,
-        "the primed record must be served: {skewed} vs {honest}"
-    );
-}
-
-/// Invalidation is real: the same poison never survives a database
-/// fingerprint change — the arena is evicted wholesale and the result
-/// is bit-identical to a scratch evaluation against the new database.
-#[test]
-fn stale_arena_is_evicted_on_a_database_fingerprint_change() {
+fn carry_refolds_when_the_database_fingerprint_changes() {
     let db_sweep = ComponentDb::new();
     // Different ATPG profile ⇒ different engine fingerprint.
     let db_deep = ComponentDb::with_engines(AtpgConfig::default(), MarchAlgorithm::march_cminus());
@@ -319,66 +304,40 @@ fn stale_arena_is_evicted_on_a_database_fingerprint_change() {
 
     let ic = InterconnectModel::paper();
     let eval = DeltaEvaluator::new(ic);
-    let arch = TemplateSpace::tiny().point(0);
-    let key = ComponentKey::Alu(8);
-    let mut poisoned = (*db_sweep.get(key)).clone();
-    poisoned.area += 1_000_000.0;
-    eval.prime(db_sweep.fingerprint(), key, poisoned);
-    assert!(eval.cached(key).is_some(), "poison installed");
-
-    // Evaluating against the *other* database must evict the arena and
-    // never serve the stale record.
-    let fresh = eval.area(&arch, &db_deep);
-    assert_eq!(
-        fresh.to_bits(),
-        AnnotatedAreaModel::new(ic).area(&arch, &db_deep).to_bits(),
-        "stale cached entry must not survive the guard change"
-    );
-    let survivor = eval.cached(key).expect("re-memoized from db_deep");
-    assert_eq!(survivor.area.to_bits(), db_deep.get(key).area.to_bits());
-}
-
-/// Custom (even unfingerprintable) models are never wrapped by the
-/// delta path: under `EvalMode::Delta` they are called exactly as often
-/// as under `Scratch`, with no memoization in between.
-#[test]
-fn custom_models_bypass_the_delta_path() {
-    static CALLS: AtomicUsize = AtomicUsize::new(0);
-    struct CountingArea;
-    impl AreaModel for CountingArea {
-        fn area(&self, _: &Architecture, _: &ComponentDb) -> f64 {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            42.0
-        }
-        // No fingerprint() override: unfingerprintable on purpose.
-    }
-    let w = suite::crypt(1);
-    let run = |mode: EvalMode| {
-        Exploration::over(TemplateSpace::tiny())
-            .workload(&w)
-            .with_db(db())
-            .area_model(CountingArea)
-            .eval_mode(mode)
-            .run()
+    let mut carry = CarriedFolds::new(ic);
+    let space = hier_space();
+    let mut at = |rank: usize, db: &ComponentDb| {
+        let arch = space.point(space.neighbour_index(rank));
+        let got = carry.advance(&arch, rank, &eval, db);
+        let want = (
+            AnnotatedAreaModel::new(ic).area(&arch, db),
+            AnnotatedTimingModel::new(ic).clock_period(&arch, db),
+            Eq14TestCostModel.test_cost(&arch, db).total,
+        );
+        assert_eq!(
+            (
+                got.area.to_bits(),
+                got.clock_period.to_bits(),
+                got.test_total.to_bits()
+            ),
+            (want.0.to_bits(), want.1.to_bits(), want.2.to_bits()),
+            "rank {rank}"
+        );
+        carry.stats()
     };
-    let before = CALLS.load(Ordering::Relaxed);
-    let scratch = run(EvalMode::Scratch);
-    let scratch_calls = CALLS.load(Ordering::Relaxed) - before;
-    let delta = run(EvalMode::Delta);
-    let delta_calls = CALLS.load(Ordering::Relaxed) - before - scratch_calls;
-    assert_eq!(
-        scratch_calls, delta_calls,
-        "a custom model must be consulted identically in both modes"
-    );
-    assert!(delta_calls > 0);
-    assert_bit_identical(&scratch, &delta);
+    assert_eq!(at(0, &db_sweep), (0, 1));
+    assert_eq!(at(1, &db_sweep), (1, 1));
+    assert_eq!(at(2, &db_sweep), (2, 1));
+    // Rank 3 follows rank 2, but its database is a different one.
+    assert_eq!(at(3, &db_deep), (2, 2), "the switch must refold");
+    assert_eq!(at(4, &db_deep), (3, 2), "the new database carries again");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// PR-8: delta == scratch, bit for bit, over the *hierarchical*
-    /// space — clusters, per-FU pipelining and RF banking all vary, so
+    /// Default models == the scratch oracle, bit for bit, over the
+    /// *hierarchical* space — clusters, per-FU pipelining and RF banking all vary, so
     /// the carried-fold retract/apply pairs touch every new knob class —
     /// across strategies, seeds, budgets, lift modes, threading and the
     /// scan test model.
@@ -391,15 +350,14 @@ proptest! {
         parallel in proptest::bool::ANY,
         scan in proptest::bool::ANY,
     ) {
-        let build = move |mode: EvalMode| {
+        let build = move |oracle: bool| {
             let w = suite::checksum32();
             let lift = if full_lift { LiftMode::Full } else { LiftMode::ParetoOnly };
-            let mut e = Exploration::over(hier_space())
+            let mut e = over(hier_space(), oracle)
                 .workload(&w)
                 .with_db(db())
                 .lift(lift)
                 .parallel(parallel)
-                .eval_mode(mode)
                 .seed(seed);
             if scan {
                 e = e.test_cost_model(ScanTestCostModel::with_chains(2));
@@ -411,8 +369,8 @@ proptest! {
                 _ => e.strategy(HillClimb::default()).budget(budget),
             }
         };
-        let scratch = build(EvalMode::Scratch).run();
-        let delta = build(EvalMode::Delta).run();
+        let scratch = build(true).run();
+        let delta = build(false).run();
         assert_bit_identical(&scratch, &delta);
     }
 }
@@ -432,7 +390,6 @@ fn budget_interrupted_neighbour_walk_resumes_bit_identically() {
         .workload(&w)
         .with_db(db())
         .cache(&cache)
-        .eval_mode(EvalMode::Delta)
         .strategy(Exhaustive::neighbour())
         .budget(half)
         .run();
@@ -440,13 +397,11 @@ fn budget_interrupted_neighbour_walk_resumes_bit_identically() {
         .workload(&w)
         .with_db(db())
         .cache(&cache)
-        .eval_mode(EvalMode::Delta)
         .strategy(Exhaustive::neighbour())
         .run();
-    let oracle = Exploration::over(space)
+    let oracle = over(space, true)
         .workload(&w)
         .with_db(db())
-        .eval_mode(EvalMode::Scratch)
         .strategy(Exhaustive::neighbour())
         .run();
     assert_bit_identical(&resumed, &oracle);
@@ -489,24 +444,27 @@ impl SearchStrategy for GappedNeighbourWalk {
 #[test]
 fn walk_discontinuity_falls_back_to_a_scratch_refold() {
     let w = suite::checksum32();
-    let run = |mode: EvalMode| {
-        Exploration::over(TemplateSpace::huge())
+    let run = |oracle: bool| {
+        over(TemplateSpace::huge(), oracle)
             .workload(&w)
             .with_db(db())
-            .eval_mode(mode)
             .strategy(GappedNeighbourWalk { proposed: false })
             .run()
     };
-    let delta = run(EvalMode::Delta);
-    let scratch = run(EvalMode::Scratch);
+    let delta = run(false);
+    let scratch = run(true);
     assert_bit_identical(&scratch, &delta);
-    let stats = delta.delta.expect("delta mode reports stats");
+    let stats = delta.delta.expect("every run reports stats");
     assert_eq!(
         stats.scratch_fallbacks, 2,
         "rank 0 (no predecessor) and the gap at rank 10 must refold"
     );
     assert_eq!(stats.fold_carries, 4, "the contiguous steps must carry");
-    assert!(scratch.delta.is_none(), "scratch mode reports no stats");
+    assert_eq!(
+        scratch.delta,
+        Some(DeltaStats::default()),
+        "explicit models never carry"
+    );
 }
 
 /// The PR-8 headline path end to end: a seeded, budgeted Gray-code walk
@@ -517,18 +475,17 @@ fn walk_discontinuity_falls_back_to_a_scratch_refold() {
 #[test]
 fn budgeted_huge_space_walk_is_bit_identical_and_carries_every_step() {
     let w = suite::checksum32();
-    let run = |mode: EvalMode| {
-        Exploration::over(TemplateSpace::huge())
+    let run = |oracle: bool| {
+        over(TemplateSpace::huge(), oracle)
             .workload(&w)
             .with_db(db())
-            .eval_mode(mode)
             .strategy(Exhaustive::neighbour())
             .budget(256)
             .seed(7)
             .run()
     };
-    let delta = run(EvalMode::Delta);
-    let scratch = run(EvalMode::Scratch);
+    let delta = run(false);
+    let scratch = run(true);
     assert_bit_identical(&scratch, &delta);
     assert_eq!(delta.search.evaluations, 256);
     let stats = delta.delta.expect("delta stats");

@@ -221,7 +221,7 @@ pub struct JobOutput {
     pub cancelled: bool,
     /// The resume checkpoint of a cancelled job.
     pub checkpoint: Option<SearchCheckpoint>,
-    /// Delta-engine counters (live telemetry while running, final here).
+    /// Carried-fold counters (live telemetry while running, final here).
     pub delta: Option<DeltaStats>,
     /// Per-job cache outcome, as a wire-stable label (`none`,
     /// `bypassed`, `flushed`, `flush-failed`).
@@ -311,17 +311,10 @@ impl PreparedJob {
             .with_db(&db)
             .interconnect(interconnect)
             .lift(spec.lift)
-            // `cycles` and `eval` are deliberately NOT echoed in any
-            // output format: CI `cmp`s a model run against a simulate
-            // run (and a delta run against a scratch run) to assert
-            // each engine reproduces its oracle byte-identically. The
-            // one sanctioned exception is the `search.delta` fold-carry
-            // object (and its table footer line), present only under
-            // the delta engine — those `cmp`s strip it first. Arena
-            // counters stay off stdout entirely: they depend on thread
-            // interleaving.
+            // `cycles` is deliberately NOT echoed in any output format:
+            // CI `cmp`s a model run against a simulate run to assert the
+            // simulator reproduces the model byte-identically.
             .cycle_source(spec.cycles)
-            .eval_mode(spec.eval)
             .fidelity(spec.fidelity)
             .parallel(spec.parallel);
         if spec.test_model == TestModel::Scan {
@@ -497,10 +490,10 @@ pub fn render_explore(
                         ("space_points", json::int(s.space_len as u64)),
                         ("evaluations", json::int(s.evaluations as u64)),
                     ];
-                    // Fold-carry accounting for the incremental engine —
+                    // Fold-carry accounting for the carried folds —
                     // deterministic per run (it is computed in a serial
-                    // pre-pass), absent under scratch eval. The
-                    // scratch-vs-delta byte-identity checks strip it.
+                    // pre-pass), but lowered by a warm cache, so the
+                    // cold-vs-warm byte-identity checks strip it.
                     if let Some(d) = &result.delta {
                         fields.push((
                             "delta",

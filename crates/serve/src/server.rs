@@ -21,7 +21,7 @@
 //!
 //! `POST /run` answers `200` with `Transfer-Encoding: chunked` and one
 //! JSON event per line: `queued`, `started`, `progress` (one per
-//! evaluated chunk, carrying the live delta-engine counters), then
+//! evaluated chunk, carrying the live carried-fold counters), then
 //! exactly one of `done` (with the fully rendered stdout document
 //! embedded as a JSON string) or `error`. Invalid specs never reach the
 //! queue — they answer `400` immediately. A client that disconnects
@@ -728,9 +728,7 @@ fn render_event(id: u64, event: &Event) -> (String, bool) {
     (line, terminal)
 }
 
-/// Delta-engine counters as a JSON value (`null` under scratch eval).
-/// On the wire the arena counters are fair game — NDJSON events are
-/// telemetry, not the byte-stable stdout document.
+/// Carried-fold counters as a JSON value (`null` when absent).
 fn delta_json(delta: Option<&DeltaStats>) -> String {
     delta.map_or_else(
         || "null".into(),
@@ -738,10 +736,25 @@ fn delta_json(delta: Option<&DeltaStats>) -> String {
             json::object([
                 ("fold_carries", json::int(d.fold_carries)),
                 ("scratch_fallbacks", json::int(d.scratch_fallbacks)),
-                ("arena_hits", json::int(d.arena_hits)),
-                ("arena_misses", json::int(d.arena_misses)),
-                ("arena_evictions", json::int(d.arena_evictions)),
             ])
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn delta_json_carries_only_the_fold_counts() {
+        let stats = DeltaStats {
+            fold_carries: 511,
+            scratch_fallbacks: 1,
+        };
+        assert_eq!(
+            delta_json(Some(&stats)),
+            "{\"fold_carries\":511,\"scratch_fallbacks\":1}"
+        );
+        assert_eq!(delta_json(None), "null");
+    }
 }
