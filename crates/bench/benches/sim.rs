@@ -1,5 +1,7 @@
 //! Simulator throughput: executed cycles per run for every kernel on
-//! the maximal fast-space machine, plus the fast-space sweep cost under
+//! the maximal fast-space machine, through the traced `Simulator::run`
+//! (group `sim`) and the trace-free `Simulator::outcome` over the
+//! lowered code (group `outcome`), plus the fast-space sweep cost under
 //! `CycleSource::Model` vs `CycleSource::Simulate`. `BENCH_sim.json` at
 //! the repo root records one distilled release run of this bench.
 
@@ -8,8 +10,9 @@ use std::hint::black_box;
 use tta_arch::template::TemplateSpace;
 use tta_core::explore::{CycleSource, Exploration};
 use tta_movec::schedule::Scheduler;
-use tta_sim::{lower, SimOptions, Simulator};
+use tta_sim::{lower, lower_code, SimOptions, Simulator};
 use tta_workloads::suite;
+use tta_workloads::suite::Workload;
 
 fn lowered_options() -> SimOptions {
     SimOptions {
@@ -18,15 +21,28 @@ fn lowered_options() -> SimOptions {
     }
 }
 
-fn bench_sim_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim");
+/// Timed runs per kernel: a run takes microseconds, so the stub's
+/// default ten would leave the mean at the mercy of one slow run.
+const KERNEL_SAMPLES: usize = 500;
+
+/// Every kernel of suite `all` on the maximal fast-space machine.
+fn kernels() -> (tta_arch::Architecture, Vec<Workload>) {
     let space = TemplateSpace::fast_default();
-    let arch = space.point(space.len() - 1);
     let registry = suite::SuiteRegistry::standard();
     let members = registry
         .instantiate("all", &suite::SuiteParams::fast())
         .expect("the standard registry has an `all` suite");
-    for w in members.into_iter().map(|m| m.workload) {
+    (
+        space.point(space.len() - 1),
+        members.into_iter().map(|m| m.workload).collect(),
+    )
+}
+
+fn bench_sim_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim");
+    group.sample_size(KERNEL_SAMPLES);
+    let (arch, workloads) = kernels();
+    for w in workloads {
         let schedule = Scheduler::new(&arch)
             .run(&w.dfg)
             .expect("the maximal point schedules every kernel");
@@ -45,6 +61,31 @@ fn bench_sim_kernels(c: &mut Criterion) {
                     Simulator::new(&arch)
                         .options(lowered_options())
                         .run(p)
+                        .unwrap()
+                        .cycles,
+                )
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_outcome_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("outcome");
+    group.sample_size(KERNEL_SAMPLES);
+    let (arch, workloads) = kernels();
+    for w in workloads {
+        let schedule = Scheduler::new(&arch)
+            .run(&w.dfg)
+            .expect("the maximal point schedules every kernel");
+        let code =
+            lower_code(&arch, &w.dfg, &schedule, &w.inputs, &w.mem).expect("schedules lower");
+        group.bench_with_input(BenchmarkId::from_parameter(&w.name), &code, |b, code| {
+            b.iter(|| {
+                black_box(
+                    Simulator::new(&arch)
+                        .options(lowered_options())
+                        .outcome(code)
                         .unwrap()
                         .cycles,
                 )
@@ -79,5 +120,10 @@ fn bench_sweep_cycle_source(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sim_kernels, bench_sweep_cycle_source);
+criterion_group!(
+    benches,
+    bench_sim_kernels,
+    bench_outcome_kernels,
+    bench_sweep_cycle_source
+);
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Distils the sweep, fold, fidelity, scheduler, cache-flush and serve
+//! Distils the sweep, fold, fidelity, scheduler, simulator, cache-flush and serve
 //! timings into the flat JSON committed as `BENCH_dse.json` (the committed perf trajectory; see
 //! `docs/PERF.md` for how to read it).
 //!
@@ -18,6 +18,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use tta_arch::template::TemplateSpace;
+use tta_arch::Architecture;
 use tta_core::cache::{EvalEntry, SweepCache};
 use tta_core::explore::Exploration;
 use tta_core::models::{
@@ -25,13 +26,15 @@ use tta_core::models::{
     TestCostModel, TimingModel,
 };
 use tta_core::{CarriedFolds, ComponentDb, DeltaEvaluator};
+use tta_movec::schedule::Schedule;
 use tta_movec::{Dfg, Scheduler};
 use tta_netlist::{elaborate, timing, IncrementalElaborator};
 use tta_serve::client::{control, run_remote};
 use tta_serve::exec;
 use tta_serve::server::Server;
 use tta_serve::spec::{Format, JobSpec};
-use tta_workloads::{suite, SuiteParams, SuiteRegistry};
+use tta_sim::{lower, lower_code, SimOptions, Simulator};
+use tta_workloads::{suite, SuiteParams, SuiteRegistry, Workload};
 
 struct SweepRow {
     space: &'static str,
@@ -55,6 +58,16 @@ struct ScheduleRow {
     infeasible: usize,
     run_us: f64,
     cost_us: f64,
+}
+
+struct SimulateRow {
+    space: &'static str,
+    points: usize,
+    programs: usize,
+    lower_us: f64,
+    lower_code_us: f64,
+    run_us: f64,
+    outcome_us: f64,
 }
 
 struct CacheFlushRow {
@@ -81,26 +94,37 @@ struct FidelityRow {
     incremental_s: f64,
 }
 
-/// Times the area+clock axes per point under the two fidelities: the
+/// Runs of the fidelity row; it commits the median of each path.
+const FIDELITY_RUNS: usize = 5;
+
+/// Gray-walk points of the fidelity row.
+const FIDELITY_WALK: usize = 256;
+
+/// Times the area+clock axes per point under the two fidelities over
+/// the first `walked` points of the space's Gray walk: the
 /// back-annotation `table` fold, a from-scratch gate-level elaboration
 /// (`elaborate` + loaded STA — what `--fidelity netlist` pays on a
 /// cold, non-neighbour walk), and the `IncrementalElaborator` along the
-/// same Gray-walk order, which rewinds to the first differing segment
-/// instead of rebuilding the whole point. An untimed pass first asserts
-/// the incremental netlists dump bit-identically to the from-scratch
-/// ones.
+/// same walk, which rewinds to the first differing segment instead of
+/// rebuilding the whole point. Each path reports the median of
+/// [`FIDELITY_RUNS`] runs, the three paths interleaved within each run
+/// so a slow spell of the host lands on all of them. An untimed pass
+/// first asserts the incremental netlists dump bit-identically to the
+/// from-scratch ones.
 fn time_fidelity_axis(
     space: &'static str,
     template: TemplateSpace,
+    walked: usize,
     db: &ComponentDb,
-    iters: usize,
 ) -> FidelityRow {
+    let walked = walked.min(template.len());
     eprintln!(
-        "fidelity axis over {space} space ({} points)...",
+        "fidelity axis over {space} space ({walked} of {} points)...",
         template.len()
     );
     let archs: Vec<_> = template
         .neighbour_order()
+        .take(walked)
         .map(|i| template.point(i))
         .collect();
     let ic = InterconnectModel::paper();
@@ -117,47 +141,50 @@ fn time_fidelity_axis(
         black_box(area.area(arch, db) + clock.clock_period(arch, db));
     }
 
-    let best_of = |f: &mut dyn FnMut() -> f64| {
-        let mut best = f64::INFINITY;
-        for _ in 0..iters.max(1) {
-            let start = Instant::now();
-            black_box(f());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
+    let timed = |f: &mut dyn FnMut() -> f64| {
+        let start = Instant::now();
+        black_box(f());
+        start.elapsed().as_secs_f64()
     };
-    let table_s = best_of(&mut || {
-        archs
-            .iter()
-            .map(|a| area.area(a, db) + clock.clock_period(a, db))
-            .sum()
-    });
-    let netlist_s = best_of(&mut || {
-        archs
-            .iter()
-            .map(|a| {
-                let nl = elaborate(a).expect("scratch elaboration");
-                nl.area() + timing::min_clock_period(&nl)
-            })
-            .sum()
-    });
-    let incremental_s = best_of(&mut || {
-        let mut inc = IncrementalElaborator::new();
-        archs
-            .iter()
-            .map(|a| {
-                let nl = inc.advance(a).expect("incremental elaboration");
-                nl.area() + timing::min_clock_period(&nl)
-            })
-            .sum()
-    });
+    let (mut table, mut netlist, mut incremental) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..FIDELITY_RUNS {
+        table.push(timed(&mut || {
+            archs
+                .iter()
+                .map(|a| area.area(a, db) + clock.clock_period(a, db))
+                .sum()
+        }));
+        netlist.push(timed(&mut || {
+            archs
+                .iter()
+                .map(|a| {
+                    let nl = elaborate(a).expect("scratch elaboration");
+                    nl.area() + timing::min_clock_period(&nl)
+                })
+                .sum()
+        }));
+        incremental.push(timed(&mut || {
+            let mut inc = IncrementalElaborator::new();
+            archs
+                .iter()
+                .map(|a| {
+                    let nl = inc.advance(a).expect("incremental elaboration");
+                    nl.area() + timing::min_clock_period(&nl)
+                })
+                .sum()
+        }));
+    }
+    let median = |mut s: Vec<f64>| {
+        s.sort_by(f64::total_cmp);
+        s[s.len() / 2]
+    };
     FidelityRow {
         space,
         points: template.len(),
-        walked: archs.len(),
-        table_s,
-        netlist_s,
-        incremental_s,
+        walked,
+        table_s: median(table),
+        netlist_s: median(netlist),
+        incremental_s: median(incremental),
     }
 }
 
@@ -259,16 +286,8 @@ fn time_schedule(
     iters: usize,
 ) -> ScheduleRow {
     eprintln!("scheduling a {sample}-point sample of the {space} space...");
-    let mut state = 1u64;
-    let archs: Vec<_> = (0..sample)
-        .map(|_| template.point((splitmix(&mut state) % template.len() as u64) as usize))
-        .collect();
-    let workloads: Vec<_> = SuiteRegistry::standard()
-        .instantiate("all", &SuiteParams::fast())
-        .expect("standard suite `all`")
-        .into_iter()
-        .map(|m| m.workload)
-        .collect();
+    let archs = seeded_sample(&template, sample);
+    let workloads = suite_all();
     let mut infeasible = 0;
     for arch in &archs {
         let scheduler = Scheduler::new(arch);
@@ -313,6 +332,108 @@ fn time_schedule(
         infeasible,
         run_us: run_s * 1e6 / schedules as f64,
         cost_us: cost_s * 1e6 / schedules as f64,
+    }
+}
+
+/// Times lowering and execution per (point, workload) program over the
+/// schedule row's seeded sample: `lower` plus the traced
+/// `Simulator::run` is what `ttadse sim` pays, `lower_code` plus the
+/// trace-free `Simulator::outcome` what a `--cycles simulate` sweep
+/// pays. Schedules are built outside the timed window. An untimed pass
+/// first asserts the two paths agree on cycles, outputs and errors for
+/// every program.
+fn time_simulate(
+    space: &'static str,
+    template: TemplateSpace,
+    sample: usize,
+    iters: usize,
+) -> SimulateRow {
+    eprintln!("lowering and simulating a {sample}-point sample of the {space} space...");
+    let options = SimOptions {
+        allow_register_overflow: true,
+        ..Default::default()
+    };
+    let archs = seeded_sample(&template, sample);
+    let workloads = suite_all();
+    // Every (point, workload) pair that schedules, with its schedule.
+    let jobs: Vec<(&Architecture, &Workload, Schedule)> = archs
+        .iter()
+        .flat_map(|arch| {
+            let scheduler = Scheduler::new(arch);
+            workloads
+                .iter()
+                .filter_map(move |w| Some((arch, w, scheduler.run(&w.dfg).ok()?)))
+        })
+        .collect();
+    let programs: Vec<_> = jobs
+        .iter()
+        .map(|(arch, w, s)| lower(arch, &w.dfg, s, &w.inputs, &w.mem).expect("schedules lower"))
+        .collect();
+    let codes: Vec<_> = jobs
+        .iter()
+        .map(|(arch, w, s)| {
+            lower_code(arch, &w.dfg, s, &w.inputs, &w.mem).expect("schedules lower")
+        })
+        .collect();
+    for (((arch, w, _), program), code) in jobs.iter().zip(&programs).zip(&codes) {
+        let simulator = Simulator::new(arch).options(options);
+        let traced = simulator.run(program).map(|t| (t.cycles, t.outputs));
+        let outcome = simulator.outcome(code).map(|o| (o.cycles, o.outputs));
+        assert_eq!(outcome, traced, "{} / {}", arch.name, w.name);
+    }
+
+    let best_of = |f: &mut dyn FnMut() -> u64| {
+        let mut best = f64::INFINITY;
+        for _ in 0..iters.max(1) {
+            let start = Instant::now();
+            black_box(f());
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        best
+    };
+    let lower_s = best_of(&mut || {
+        jobs.iter()
+            .map(|(arch, w, s)| {
+                let program = lower(arch, &w.dfg, s, &w.inputs, &w.mem);
+                program.map_or(0, |p| p.move_count() as u64)
+            })
+            .sum()
+    });
+    let lower_code_s = best_of(&mut || {
+        jobs.iter()
+            .map(|(arch, w, s)| {
+                let code = lower_code(arch, &w.dfg, s, &w.inputs, &w.mem);
+                code.map_or(0, |c| c.len() as u64)
+            })
+            .sum()
+    });
+    let run_s = best_of(&mut || {
+        jobs.iter()
+            .zip(&programs)
+            .map(|((arch, ..), p)| {
+                let trace = Simulator::new(arch).options(options).run(p);
+                trace.map_or(0, |t| t.cycles)
+            })
+            .sum()
+    });
+    let outcome_s = best_of(&mut || {
+        jobs.iter()
+            .zip(&codes)
+            .map(|((arch, ..), c)| {
+                let outcome = Simulator::new(arch).options(options).outcome(c);
+                outcome.map_or(0, |o| o.cycles)
+            })
+            .sum()
+    });
+    let per_program = |s: f64| s * 1e6 / jobs.len() as f64;
+    SimulateRow {
+        space,
+        points: template.len(),
+        programs: jobs.len(),
+        lower_us: per_program(lower_s),
+        lower_code_us: per_program(lower_code_s),
+        run_us: per_program(run_s),
+        outcome_us: per_program(outcome_s),
     }
 }
 
@@ -488,6 +609,24 @@ fn time_serve(space: &'static str) -> ServeRow {
     }
 }
 
+/// `sample` seeded points of `template`, the same on every run.
+fn seeded_sample(template: &TemplateSpace, sample: usize) -> Vec<Architecture> {
+    let mut state = 1u64;
+    (0..sample)
+        .map(|_| template.point((splitmix(&mut state) % template.len() as u64) as usize))
+        .collect()
+}
+
+/// The standard suite `all` at fast scale.
+fn suite_all() -> Vec<Workload> {
+    SuiteRegistry::standard()
+        .instantiate("all", &SuiteParams::fast())
+        .expect("standard suite `all`")
+        .into_iter()
+        .map(|m| m.workload)
+        .collect()
+}
+
 /// SplitMix64: a stable, dependency-free index stream for samples.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -621,16 +760,15 @@ fn main() {
         ));
     }
     // Fidelity rows: area+clock per point from the annotation tables vs
-    // per-point gate-level elaboration (scratch and incremental). Fast
-    // space only — the netlist axis is meant for front-sized point
-    // counts, not the 2^20 walk.
+    // per-point gate-level elaboration (scratch and incremental), over a
+    // huge-space Gray-walk prefix as `--fidelity netlist` sweeps walk it.
     let mut fidelity_rows = Vec::new();
-    if keep("fast") {
+    if keep("huge") {
         fidelity_rows.push(time_fidelity_axis(
-            "fast",
-            TemplateSpace::fast_default(),
+            "huge",
+            TemplateSpace::huge(),
+            FIDELITY_WALK,
             &db,
-            iters,
         ));
     }
     // Schedule rows: the list scheduler alone, full schedule vs the
@@ -638,6 +776,12 @@ fn main() {
     let mut schedule_rows = Vec::new();
     if keep("huge") {
         schedule_rows.push(time_schedule("huge", TemplateSpace::huge(), 500, iters));
+    }
+    // Simulate rows: lowering and execution alone, traced vs trace-free,
+    // over the schedule row's sample.
+    let mut simulate_rows = Vec::new();
+    if keep("huge") {
+        simulate_rows.push(time_simulate("huge", TemplateSpace::huge(), 500, iters));
     }
     // Serve rows: one job end to end through the daemon on loopback,
     // admission, queue, run and stream included.
@@ -649,6 +793,7 @@ fn main() {
         && fold_rows.is_empty()
         && fidelity_rows.is_empty()
         && schedule_rows.is_empty()
+        && simulate_rows.is_empty()
         && serve_rows.is_empty()
     {
         eprintln!("--space matched nothing (expected fast, paper or huge)");
@@ -676,7 +821,8 @@ fn main() {
          prefix — scratch refolds every component through the database, incremental carries \
          the previous point's folds and exchanges the single changed component \
          (CarriedFolds::advance; bit-identity asserted in an untimed pass) — the huge row is \
-         the budgeted 2^20-point hierarchical-space sweep where the carried fold pays off. The fidelity rows time the area+clock axes per point: table folds the \
+         the budgeted 2^20-point hierarchical-space sweep where the carried fold pays off. The fidelity rows time the area+clock axes per point over a 256-point huge-space \
+         Gray walk, each path the median of five interleaved runs: table folds the \
          back-annotation constants, netlist elaborates every point to gates from scratch and \
          runs the loaded STA (what --fidelity netlist pays on a cold non-neighbour walk), \
          incremental drives the IncrementalElaborator along the Gray walk, rewinding to the \
@@ -686,7 +832,11 @@ fn main() {
          schedule rows time the movec list scheduler alone per (point, workload) schedule on a \
          seeded 500-point sample of the huge space against suite all: run_us builds the full move \
          schedule (lowering, simulation, ttadse sim), cost_us is the cycles-only path sweeps use \
-         (agreement on every pair asserted in an untimed pass). The cache_flush row times \
+         (agreement on every pair asserted in an untimed pass). The simulate rows time lowering \
+         and execution alone per lowered (point, workload) program over the same sample: lower_us \
+         and run_us are the named program and traced run ttadse sim pays, lower_code_us and \
+         outcome_us the index-resolved code and trace-free run a --cycles simulate sweep pays \
+         (agreement on cycles, outputs and errors asserted in an untimed pass). The cache_flush row times \
          SweepCache::flush as a chunked sweep pays it: a cache seeded with 6144 synthetic entries \
          grows to 8192 in 64-entry chunks, flushing after each; ms_per_flush is the best-of run's \
          mean and bytes_per_flush the mean file size written (byte-identity of the chunked \
@@ -750,6 +900,24 @@ fn main() {
             r.run_us,
             r.cost_us,
             r.run_us / r.cost_us
+        );
+    }
+    println!("  ],");
+    println!("  \"simulate\": [");
+    for (i, r) in simulate_rows.iter().enumerate() {
+        let comma = if i + 1 < simulate_rows.len() { "," } else { "" };
+        println!(
+            "    {{ \"space\": \"{}\", \"points\": {}, \"suite\": \"all\", \"programs\": {}, \
+             \"lower_us\": {:.2}, \"lower_code_us\": {:.2}, \"run_us\": {:.2}, \"outcome_us\": {:.2}, \
+             \"run_over_outcome\": {:.2} }}{comma}",
+            r.space,
+            r.points,
+            r.programs,
+            r.lower_us,
+            r.lower_code_us,
+            r.run_us,
+            r.outcome_us,
+            r.run_us / r.outcome_us
         );
     }
     println!("  ],");

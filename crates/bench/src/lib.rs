@@ -727,16 +727,16 @@ pub struct SuiteComparisonRow {
 /// or lower there).
 fn simulated_delta(arch: &Architecture, w: &suite::Workload) -> Option<i64> {
     let schedule = tta_movec::schedule::Scheduler::new(arch).run(&w.dfg).ok()?;
-    let program = tta_sim::lower(arch, &w.dfg, &schedule, &w.inputs, &w.mem).ok()?;
+    let code = tta_sim::lower_code(arch, &w.dfg, &schedule, &w.inputs, &w.mem).ok()?;
     let options = tta_sim::SimOptions {
         allow_register_overflow: true,
         ..Default::default()
     };
-    let trace = tta_sim::Simulator::new(arch)
+    let outcome = tta_sim::Simulator::new(arch)
         .options(options)
-        .run(&program)
+        .outcome(&code)
         .ok()?;
-    let executed = i64::try_from(trace.cycles).ok()?;
+    let executed = i64::try_from(outcome.cycles).ok()?;
     Some(executed - i64::from(schedule.cycles))
 }
 

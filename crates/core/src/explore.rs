@@ -1971,16 +1971,16 @@ fn executed_cycles(
     w: &Workload,
     schedule: &tta_movec::schedule::Schedule,
 ) -> Option<u32> {
-    let program = tta_sim::lower(arch, &w.dfg, schedule, &w.inputs, &w.mem).ok()?;
+    let code = tta_sim::lower_code(arch, &w.dfg, schedule, &w.inputs, &w.mem).ok()?;
     let options = tta_sim::SimOptions {
         allow_register_overflow: true,
         ..Default::default()
     };
-    let trace = tta_sim::Simulator::new(arch)
+    let outcome = tta_sim::Simulator::new(arch)
         .options(options)
-        .run(&program)
+        .outcome(&code)
         .ok()?;
-    u32::try_from(trace.cycles).ok()
+    u32::try_from(outcome.cycles).ok()
 }
 
 #[cfg(test)]

@@ -306,9 +306,7 @@ impl JobSpec {
 
     /// Parses and validates a spec document. Every field is optional
     /// (absent → the [`Default`] value); unknown fields and ill-typed
-    /// values are errors. The deprecated `eval` field (the removed
-    /// evaluation-engine selector) still parses: `"delta"` and
-    /// `"scratch"` are accepted and ignored, anything else is rejected.
+    /// values are errors.
     ///
     /// # Errors
     ///
@@ -330,7 +328,6 @@ impl JobSpec {
             "lift",
             "test_model",
             "cycles",
-            "eval",
             "fidelity",
             "format",
             "parallel",
@@ -344,13 +341,6 @@ impl JobSpec {
         for key in map.keys() {
             if !KNOWN.contains(&key.as_str()) {
                 return Err(format!("unknown job spec field {key:?}"));
-            }
-        }
-        if let Some(engine) = field_opt_string(&doc, "eval")? {
-            if !matches!(engine.as_str(), "delta" | "scratch") {
-                return Err(format!(
-                    "unknown eval engine {engine:?} (expected delta or scratch)"
-                ));
             }
         }
         let defaults = JobSpec::default();
@@ -523,15 +513,14 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_eval_field_is_accepted_and_ignored() {
-        let default = JobSpec::from_json("{}").unwrap();
-        assert_eq!(
-            JobSpec::from_json("{\"eval\":\"scratch\"}").unwrap(),
-            default
-        );
-        assert_eq!(JobSpec::from_json("{\"eval\":\"delta\"}").unwrap(), default);
-        assert!(JobSpec::from_json("{\"eval\":\"fast\"}").is_err());
-        assert!(!default.to_json().contains("eval"));
+    fn the_removed_eval_field_is_an_unknown_field() {
+        for spec in ["{\"eval\":\"delta\"}", "{\"eval\":\"scratch\"}"] {
+            assert_eq!(
+                JobSpec::from_json(spec).unwrap_err(),
+                "unknown job spec field \"eval\""
+            );
+        }
+        assert!(!JobSpec::default().to_json().contains("eval"));
     }
 
     #[test]

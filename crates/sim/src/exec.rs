@@ -17,11 +17,17 @@
 //! result before its latency expired gets [`SimError::ResultNotReady`].
 //! That is what makes "executed cycles == scheduled cycles" a real
 //! validation of the analytic model rather than a tautology.
+//!
+//! One routine executes every run, over decoded [`Code`].
+//! [`Simulator::run`] decodes a [`Program`] and keeps every step as a
+//! [`Trace`]; [`Simulator::outcome`] keeps nothing but the cycles and
+//! outputs, which is all a sweep reads.
 
 use std::collections::VecDeque;
 
 use tta_arch::{Architecture, FuKind};
 
+use crate::code::{Code, Dst, Move, Src};
 use crate::program::{MoveDst, MoveSrc, OpCode, Program};
 
 /// Knobs for one simulation run.
@@ -219,14 +225,49 @@ pub struct Trace {
     pub outputs: Vec<u64>,
 }
 
-/// Per-FU datapath state.
-struct FuSim {
-    kind: FuKind,
-    operand: u64,
-    operand_set: bool,
-    result: Option<u64>,
-    /// Results in flight: `(ready_cycle, value)`, in trigger order.
-    pending: VecDeque<(u64, u64)>,
+/// What a sweep needs from one run: its length and its outputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Outcome {
+    /// Total executed cycles (one per instruction issued).
+    pub cycles: u64,
+    /// The program's declared outputs, read from the final RF state.
+    pub outputs: Vec<u64>,
+}
+
+/// What [`Simulator::execute`] keeps of each executed cycle.
+trait Recorder {
+    /// Instruction `instr` ran in `cycle`, its moves carrying `values`.
+    fn step(&mut self, cycle: u64, instr: usize, values: &[u64]);
+}
+
+/// Keeps nothing: the sweep path.
+impl Recorder for () {
+    fn step(&mut self, _: u64, _: usize, _: &[u64]) {}
+}
+
+/// Keeps every move of every cycle as the program wrote it.
+struct Steps<'p> {
+    program: &'p Program,
+    steps: Vec<TraceCycle>,
+}
+
+impl Recorder for Steps<'_> {
+    fn step(&mut self, cycle: u64, instr: usize, values: &[u64]) {
+        let moves = self.program.instructions[instr]
+            .iter()
+            .zip(values)
+            .map(|(mv, &value)| TraceMove {
+                src: mv.src.clone(),
+                dst: mv.dst.clone(),
+                value,
+            })
+            .collect();
+        self.steps.push(TraceCycle {
+            cycle,
+            instr,
+            moves,
+        });
+    }
 }
 
 /// The cycle-accurate simulator: binds a [`Program`] to an
@@ -259,23 +300,138 @@ impl<'a> Simulator<'a> {
     /// Any structural or resource violation aborts with the matching
     /// [`SimError`]; see the module docs for the legality rules.
     pub fn run(&self, program: &Program) -> Result<Trace, SimError> {
-        let mask = program.mask();
-        let width = u64::from(program.width);
-        let fu_index = |name: &str| self.arch.fus().iter().position(|f| f.name == name);
-        let rf_index = |name: &str| self.arch.rfs().iter().position(|r| r.name == name);
+        let code = Code::decode(program, self.arch);
+        let mut steps = Steps {
+            program,
+            steps: Vec::new(),
+        };
+        let halted = self.execute(&code, &mut steps)?;
+        Ok(Trace {
+            cycles: halted.cycles,
+            steps: steps.steps,
+            rfs: self
+                .arch
+                .rfs()
+                .iter()
+                .zip(halted.rfs)
+                .map(|(r, s)| (r.name.clone(), s))
+                .collect(),
+            mem: halted.mem,
+            outputs: halted.outputs,
+        })
+    }
 
-        // Bind register files: architecture capacity, overridden by the
-        // program's (possibly larger, if allowed) image.
-        let mut rf_state: Vec<Vec<u64>> =
-            self.arch.rfs().iter().map(|r| vec![0u64; r.regs]).collect();
-        for image in &program.rfs {
-            let ri = rf_index(&image.name).ok_or_else(|| SimError::UnconnectedSocket {
-                name: image.name.clone(),
-            })?;
-            let hw_regs = self.arch.rfs()[ri].regs;
-            if image.regs > hw_regs && !self.options.allow_register_overflow {
+    /// Runs `code` to completion and returns its cycles and outputs,
+    /// keeping no trace. `code` must be decoded or lowered for this
+    /// simulator's architecture.
+    ///
+    /// Agrees with [`Simulator::run`] on the decoded program: the same
+    /// cycles and outputs, or the same [`SimError`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::run`].
+    pub fn outcome(&self, code: &Code) -> Result<Outcome, SimError> {
+        let halted = self.execute(code, &mut ())?;
+        Ok(Outcome {
+            cycles: halted.cycles,
+            outputs: halted.outputs,
+        })
+    }
+
+    /// The one execution routine: binds the images, executes `code`
+    /// cycle by cycle under every legality rule, reports each executed
+    /// cycle to `recorder` and reads the outputs.
+    fn execute<R: Recorder>(&self, code: &Code, recorder: &mut R) -> Result<Halted, SimError> {
+        let mut machine = Machine::bind(self.arch, code, self.options)?;
+        let len = code.len();
+        let buses = self.arch.bus_count();
+        let mut cycle: u64 = 0;
+        let mut pc: usize = 0;
+        while pc < len {
+            if cycle >= self.options.max_cycles {
+                return Err(SimError::CycleLimit {
+                    limit: self.options.max_cycles,
+                });
+            }
+            machine.land(cycle);
+            let instr = code.instruction(pc);
+            if instr.len() > buses {
+                return Err(SimError::BusContention {
+                    cycle,
+                    moves: instr.len(),
+                    buses,
+                });
+            }
+            machine.read_sources(code, instr, cycle)?;
+            machine.check_destinations(code, instr, cycle)?;
+            let next_pc = machine.commit(instr, cycle, len)?;
+            recorder.step(cycle, pc, &machine.values);
+            cycle += 1;
+            pc = next_pc.unwrap_or(pc + 1);
+        }
+        let outputs = machine.outputs(code)?;
+        Ok(Halted {
+            cycles: cycle,
+            rfs: machine.rfs,
+            mem: machine.mem,
+            outputs,
+        })
+    }
+}
+
+/// Machine state when a run halts.
+struct Halted {
+    cycles: u64,
+    rfs: Vec<Vec<u64>>,
+    mem: Vec<u64>,
+    outputs: Vec<u64>,
+}
+
+/// Per-FU datapath state.
+struct FuSim {
+    kind: FuKind,
+    operand: u64,
+    operand_set: bool,
+    result: Option<u64>,
+    /// Results in flight: `(ready_cycle, value)`, in trigger order.
+    pending: VecDeque<(u64, u64)>,
+}
+
+/// The state of one run, plus per-cycle scratch that is allocated once
+/// and cleared at the start of each cycle.
+struct Machine<'a> {
+    arch: &'a Architecture,
+    mask: u64,
+    width: u64,
+    rfs: Vec<Vec<u64>>,
+    fus: Vec<FuSim>,
+    mem: Vec<u64>,
+    /// The value each move of the current cycle transports.
+    values: Vec<u64>,
+    rf_reads: Vec<usize>,
+    imm_out: Vec<usize>,
+    operand_hit: Vec<bool>,
+    trigger_hit: Vec<bool>,
+    rf_writes: Vec<usize>,
+    written: Vec<(usize, usize)>,
+}
+
+impl<'a> Machine<'a> {
+    /// Binds register files: architecture capacity, overridden by the
+    /// program's (possibly larger, if allowed) image.
+    fn bind(arch: &'a Architecture, code: &Code, options: SimOptions) -> Result<Self, SimError> {
+        let mask = code.mask();
+        let mut rfs: Vec<Vec<u64>> = arch.rfs().iter().map(|r| vec![0u64; r.regs]).collect();
+        for image in &code.images {
+            let ri = match &image.rf {
+                Ok(ri) => *ri,
+                Err(name) => return Err(SimError::UnconnectedSocket { name: name.clone() }),
+            };
+            let hw_regs = arch.rfs()[ri].regs;
+            if image.regs > hw_regs && !options.allow_register_overflow {
                 return Err(SimError::RegisterOutOfRange {
-                    rf: image.name.clone(),
+                    rf: arch.rfs()[ri].name.clone(),
                     reg: image.regs - 1,
                     regs: hw_regs,
                 });
@@ -286,293 +442,288 @@ impl<'a> Simulator<'a> {
                     state[reg] = v & mask;
                 }
             }
-            rf_state[ri] = state;
+            rfs[ri] = state;
         }
+        let (nfu, nrf) = (arch.fus().len(), arch.rfs().len());
+        Ok(Machine {
+            arch,
+            mask,
+            width: u64::from(code.width),
+            rfs,
+            fus: arch
+                .fus()
+                .iter()
+                .map(|f| FuSim {
+                    kind: f.kind,
+                    operand: 0,
+                    operand_set: false,
+                    result: None,
+                    pending: VecDeque::new(),
+                })
+                .collect(),
+            mem: code.mem.clone(),
+            values: Vec::new(),
+            rf_reads: vec![0; nrf],
+            imm_out: vec![0; nfu],
+            operand_hit: vec![false; nfu],
+            trigger_hit: vec![false; nfu],
+            rf_writes: vec![0; nrf],
+            written: Vec::new(),
+        })
+    }
 
-        let mut fu_state: Vec<FuSim> = self
-            .arch
-            .fus()
-            .iter()
-            .map(|f| FuSim {
-                kind: f.kind,
-                operand: 0,
-                operand_set: false,
-                result: None,
-                pending: VecDeque::new(),
-            })
-            .collect();
-        let mut mem = program.mem.clone();
-
-        let mut steps = Vec::new();
-        let mut cycle: u64 = 0;
-        let mut pc: usize = 0;
-        while pc < program.instructions.len() {
-            if cycle >= self.options.max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.options.max_cycles,
-                });
+    /// Step 1: results whose latency expired land.
+    fn land(&mut self, cycle: u64) {
+        for fu in &mut self.fus {
+            while fu.pending.front().is_some_and(|&(ready, _)| ready <= cycle) {
+                let (_, v) = fu.pending.pop_front().expect("front checked");
+                fu.result = Some(v);
             }
-            // 1. Land results whose latency expired.
-            for fu in &mut fu_state {
-                while fu.pending.front().is_some_and(|&(ready, _)| ready <= cycle) {
-                    let (_, v) = fu.pending.pop_front().expect("front checked");
-                    fu.result = Some(v);
+        }
+    }
+
+    /// Step 2: reads every source against pre-cycle state into
+    /// `values`, counting port usage as it goes.
+    fn read_sources(&mut self, code: &Code, instr: &[Move], cycle: u64) -> Result<(), SimError> {
+        let (fus, rfs) = (self.arch.fus(), self.arch.rfs());
+        self.values.clear();
+        self.rf_reads.fill(0);
+        self.imm_out.fill(0);
+        for mv in instr {
+            let v = match mv.src {
+                Src::Result(fi) => {
+                    let name = &fus[fi].name;
+                    if fus[fi].kind == FuKind::Immediate {
+                        return Err(SimError::UnconnectedSocket { name: name.clone() });
+                    }
+                    self.fus[fi]
+                        .result
+                        .ok_or_else(|| SimError::ResultNotReady {
+                            cycle,
+                            fu: name.clone(),
+                        })?
                 }
-            }
+                Src::Reg { rf: ri, reg } => {
+                    let state = &self.rfs[ri];
+                    if reg >= state.len() {
+                        return Err(SimError::RegisterOutOfRange {
+                            rf: rfs[ri].name.clone(),
+                            reg,
+                            regs: state.len(),
+                        });
+                    }
+                    self.rf_reads[ri] += 1;
+                    if self.rf_reads[ri] > rfs[ri].nout() {
+                        return Err(SimError::PortContention {
+                            cycle,
+                            resource: format!("{} read ports", rfs[ri].name),
+                        });
+                    }
+                    state[reg]
+                }
+                Src::Imm { unit: fi, value } => {
+                    let name = &fus[fi].name;
+                    if fus[fi].kind != FuKind::Immediate {
+                        return Err(SimError::UnconnectedSocket { name: name.clone() });
+                    }
+                    self.imm_out[fi] += 1;
+                    if self.imm_out[fi] > 1 {
+                        return Err(SimError::PortContention {
+                            cycle,
+                            resource: format!("{name} output"),
+                        });
+                    }
+                    value & self.mask
+                }
+                Src::Unresolved(i) => return Err(code.src_error(i)),
+            };
+            self.values.push(v & self.mask);
+        }
+        Ok(())
+    }
 
-            let instr = &program.instructions[pc];
-            if instr.len() > self.arch.bus_count() {
-                return Err(SimError::BusContention {
+    /// Step 3: checks destinations: no double writes, ports respected.
+    fn check_destinations(
+        &mut self,
+        code: &Code,
+        instr: &[Move],
+        cycle: u64,
+    ) -> Result<(), SimError> {
+        let (fus, rfs) = (self.arch.fus(), self.arch.rfs());
+        self.operand_hit.fill(false);
+        self.trigger_hit.fill(false);
+        self.rf_writes.fill(0);
+        self.written.clear();
+        for mv in instr {
+            match mv.dst {
+                Dst::Operand(fi) => {
+                    let name = &fus[fi].name;
+                    if fus[fi].kind == FuKind::Immediate {
+                        return Err(SimError::UnconnectedSocket { name: name.clone() });
+                    }
+                    if self.operand_hit[fi] {
+                        return Err(SimError::DoubleWrite {
+                            cycle,
+                            dst: format!("{name}.o"),
+                        });
+                    }
+                    self.operand_hit[fi] = true;
+                }
+                Dst::Trigger { fu: fi, op } => {
+                    let name = &fus[fi].name;
+                    if fus[fi].kind != op.fu_kind() {
+                        return Err(SimError::WrongUnitClass {
+                            fu: name.clone(),
+                            op,
+                        });
+                    }
+                    if self.trigger_hit[fi] {
+                        return Err(SimError::DoubleWrite {
+                            cycle,
+                            dst: format!("{name}.t"),
+                        });
+                    }
+                    self.trigger_hit[fi] = true;
+                }
+                Dst::Reg { rf: ri, reg } => {
+                    let name = &rfs[ri].name;
+                    if reg >= self.rfs[ri].len() {
+                        return Err(SimError::RegisterOutOfRange {
+                            rf: name.clone(),
+                            reg,
+                            regs: self.rfs[ri].len(),
+                        });
+                    }
+                    self.rf_writes[ri] += 1;
+                    if self.rf_writes[ri] > rfs[ri].nin() {
+                        return Err(SimError::PortContention {
+                            cycle,
+                            resource: format!("{name} write ports"),
+                        });
+                    }
+                    if self.written.contains(&(ri, reg)) {
+                        return Err(SimError::DoubleWrite {
+                            cycle,
+                            dst: format!("{name}[{reg}]"),
+                        });
+                    }
+                    self.written.push((ri, reg));
+                }
+                Dst::Unresolved(i) => return Err(code.dst_error(i)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Step 4: operand registers latch, then triggers fire, then RF
+    /// writes land. Returns the jump target, if a jump was taken, in a
+    /// program of `len` instructions.
+    fn commit(
+        &mut self,
+        instr: &[Move],
+        cycle: u64,
+        len: usize,
+    ) -> Result<Option<usize>, SimError> {
+        let mask = self.mask;
+        // 4a. Operand registers latch first …
+        for (mv, &v) in instr.iter().zip(&self.values) {
+            if let Dst::Operand(fi) = mv.dst {
+                self.fus[fi].operand = v;
+                self.fus[fi].operand_set = true;
+            }
+        }
+        // 4b. … then triggers fire …
+        let mut next_pc: Option<usize> = None;
+        for (mv, &t) in instr.iter().zip(&self.values) {
+            let Dst::Trigger { fu: fi, op } = mv.dst else {
+                continue;
+            };
+            let o = self.fus[fi].operand;
+            if op.arity() == 2 && !self.fus[fi].operand_set {
+                return Err(SimError::OperandUnset {
                     cycle,
-                    moves: instr.len(),
-                    buses: self.arch.bus_count(),
+                    fu: self.arch.fus()[fi].name.clone(),
                 });
             }
-
-            // 2. Read every source against pre-cycle state, counting
-            //    port usage as we go.
-            let mut rf_reads = vec![0usize; self.arch.rfs().len()];
-            let mut imm_out = vec![0usize; self.arch.fus().len()];
-            let mut values = Vec::with_capacity(instr.len());
-            for mv in instr {
-                let v = match &mv.src {
-                    MoveSrc::FuResult(name) => {
-                        let fi = fu_index(name)
-                            .filter(|&fi| self.arch.fus()[fi].kind != FuKind::Immediate)
-                            .ok_or_else(|| SimError::UnconnectedSocket { name: name.clone() })?;
-                        fu_state[fi]
-                            .result
-                            .ok_or_else(|| SimError::ResultNotReady {
+            match op {
+                OpCode::Jmp | OpCode::Cjmp => {
+                    let taken = op == OpCode::Jmp || o != 0;
+                    if taken {
+                        if t > len as u64 {
+                            return Err(SimError::InvalidJumpTarget {
                                 cycle,
-                                fu: name.clone(),
-                            })?
-                    }
-                    MoveSrc::RfRead { rf, reg } => {
-                        let ri = rf_index(rf)
-                            .ok_or_else(|| SimError::UnconnectedSocket { name: rf.clone() })?;
-                        let state = &rf_state[ri];
-                        if *reg >= state.len() {
-                            return Err(SimError::RegisterOutOfRange {
-                                rf: rf.clone(),
-                                reg: *reg,
-                                regs: state.len(),
+                                target: t,
+                                len,
                             });
                         }
-                        rf_reads[ri] += 1;
-                        if rf_reads[ri] > self.arch.rfs()[ri].nout() {
-                            return Err(SimError::PortContention {
-                                cycle,
-                                resource: format!("{rf} read ports"),
-                            });
-                        }
-                        state[*reg]
-                    }
-                    MoveSrc::Imm { unit, value } => {
-                        let fi = fu_index(unit)
-                            .filter(|&fi| self.arch.fus()[fi].kind == FuKind::Immediate)
-                            .ok_or_else(|| SimError::UnconnectedSocket { name: unit.clone() })?;
-                        imm_out[fi] += 1;
-                        if imm_out[fi] > 1 {
-                            return Err(SimError::PortContention {
-                                cycle,
-                                resource: format!("{unit} output"),
-                            });
-                        }
-                        value & mask
-                    }
-                };
-                values.push(v & mask);
-            }
-
-            // 3. Check destinations: no double writes, ports respected.
-            let mut operand_hit = vec![false; self.arch.fus().len()];
-            let mut trigger_hit = vec![false; self.arch.fus().len()];
-            let mut rf_writes = vec![0usize; self.arch.rfs().len()];
-            let mut written: Vec<(usize, usize)> = Vec::new();
-            for mv in instr {
-                match &mv.dst {
-                    MoveDst::FuOperand(name) => {
-                        let fi = fu_index(name)
-                            .filter(|&fi| self.arch.fus()[fi].kind != FuKind::Immediate)
-                            .ok_or_else(|| SimError::UnconnectedSocket { name: name.clone() })?;
-                        if operand_hit[fi] {
-                            return Err(SimError::DoubleWrite {
-                                cycle,
-                                dst: format!("{name}.o"),
-                            });
-                        }
-                        operand_hit[fi] = true;
-                    }
-                    MoveDst::FuTrigger { fu, op } => {
-                        let fi = fu_index(fu)
-                            .ok_or_else(|| SimError::UnconnectedSocket { name: fu.clone() })?;
-                        if self.arch.fus()[fi].kind != op.fu_kind() {
-                            return Err(SimError::WrongUnitClass {
-                                fu: fu.clone(),
-                                op: *op,
-                            });
-                        }
-                        if trigger_hit[fi] {
-                            return Err(SimError::DoubleWrite {
-                                cycle,
-                                dst: format!("{fu}.t"),
-                            });
-                        }
-                        trigger_hit[fi] = true;
-                    }
-                    MoveDst::RfWrite { rf, reg } => {
-                        let ri = rf_index(rf)
-                            .ok_or_else(|| SimError::UnconnectedSocket { name: rf.clone() })?;
-                        if *reg >= rf_state[ri].len() {
-                            return Err(SimError::RegisterOutOfRange {
-                                rf: rf.clone(),
-                                reg: *reg,
-                                regs: rf_state[ri].len(),
-                            });
-                        }
-                        rf_writes[ri] += 1;
-                        if rf_writes[ri] > self.arch.rfs()[ri].nin() {
-                            return Err(SimError::PortContention {
-                                cycle,
-                                resource: format!("{rf} write ports"),
-                            });
-                        }
-                        if written.contains(&(ri, *reg)) {
-                            return Err(SimError::DoubleWrite {
-                                cycle,
-                                dst: format!("{rf}[{reg}]"),
-                            });
-                        }
-                        written.push((ri, *reg));
+                        next_pc = Some(t as usize);
                     }
                 }
-            }
-
-            // 4a. Operand registers latch first …
-            for (mv, &v) in instr.iter().zip(&values) {
-                if let MoveDst::FuOperand(name) = &mv.dst {
-                    let fi = fu_index(name).expect("checked above");
-                    fu_state[fi].operand = v;
-                    fu_state[fi].operand_set = true;
+                OpCode::St => {
+                    if self.mem.is_empty() {
+                        return Err(SimError::EmptyMemory { cycle });
+                    }
+                    let idx = (o as usize) % self.mem.len();
+                    self.mem[idx] = t & mask;
+                }
+                _ => {
+                    let width = self.width;
+                    let raw = match op {
+                        OpCode::Add => o.wrapping_add(t),
+                        OpCode::Sub => o.wrapping_sub(t),
+                        OpCode::Shl => o << (t % width),
+                        OpCode::Shr => (o & mask) >> (t % width),
+                        OpCode::And => o & t,
+                        OpCode::Or => o | t,
+                        OpCode::Xor => o ^ t,
+                        OpCode::Not => !t,
+                        OpCode::Mul => o.wrapping_mul(t),
+                        OpCode::Eq => u64::from(o == t),
+                        OpCode::Ne => u64::from(o != t),
+                        OpCode::Ltu => u64::from(o < t),
+                        OpCode::Geu => u64::from(o >= t),
+                        OpCode::Ld => {
+                            if self.mem.is_empty() {
+                                return Err(SimError::EmptyMemory { cycle });
+                            }
+                            self.mem[(t as usize) % self.mem.len()]
+                        }
+                        OpCode::St | OpCode::Jmp | OpCode::Cjmp => unreachable!(),
+                    };
+                    let fu = &mut self.fus[fi];
+                    let ready = cycle + u64::from(fu.kind.latency());
+                    fu.pending.push_back((ready, raw & mask));
                 }
             }
-            // 4b. … then triggers fire …
-            let mut next_pc: Option<usize> = None;
-            for (mv, &t) in instr.iter().zip(&values) {
-                let MoveDst::FuTrigger { fu, op } = &mv.dst else {
-                    continue;
+        }
+        // 4c. … and RF writes land last.
+        for (mv, &v) in instr.iter().zip(&self.values) {
+            if let Dst::Reg { rf: ri, reg } = mv.dst {
+                self.rfs[ri][reg] = v;
+            }
+        }
+        Ok(next_pc)
+    }
+
+    /// Reads the declared outputs from final state.
+    fn outputs(&self, code: &Code) -> Result<Vec<u64>, SimError> {
+        code.outputs
+            .iter()
+            .map(|(rf, reg)| {
+                let ri = match rf {
+                    Ok(ri) => *ri,
+                    Err(name) => return Err(SimError::UnconnectedSocket { name: name.clone() }),
                 };
-                let fi = fu_index(fu).expect("checked above");
-                let o = fu_state[fi].operand;
-                if op.arity() == 2 && !fu_state[fi].operand_set {
-                    return Err(SimError::OperandUnset {
-                        cycle,
-                        fu: fu.clone(),
+                let state = &self.rfs[ri];
+                if *reg >= state.len() {
+                    return Err(SimError::RegisterOutOfRange {
+                        rf: self.arch.rfs()[ri].name.clone(),
+                        reg: *reg,
+                        regs: state.len(),
                     });
                 }
-                match op {
-                    OpCode::Jmp | OpCode::Cjmp => {
-                        let taken = *op == OpCode::Jmp || o != 0;
-                        if taken {
-                            if t > program.instructions.len() as u64 {
-                                return Err(SimError::InvalidJumpTarget {
-                                    cycle,
-                                    target: t,
-                                    len: program.instructions.len(),
-                                });
-                            }
-                            next_pc = Some(t as usize);
-                        }
-                    }
-                    OpCode::St => {
-                        if mem.is_empty() {
-                            return Err(SimError::EmptyMemory { cycle });
-                        }
-                        let idx = (o as usize) % mem.len();
-                        mem[idx] = t & mask;
-                    }
-                    _ => {
-                        let raw = match op {
-                            OpCode::Add => o.wrapping_add(t),
-                            OpCode::Sub => o.wrapping_sub(t),
-                            OpCode::Shl => o << (t % width),
-                            OpCode::Shr => (o & mask) >> (t % width),
-                            OpCode::And => o & t,
-                            OpCode::Or => o | t,
-                            OpCode::Xor => o ^ t,
-                            OpCode::Not => !t,
-                            OpCode::Mul => o.wrapping_mul(t),
-                            OpCode::Eq => u64::from(o == t),
-                            OpCode::Ne => u64::from(o != t),
-                            OpCode::Ltu => u64::from(o < t),
-                            OpCode::Geu => u64::from(o >= t),
-                            OpCode::Ld => {
-                                if mem.is_empty() {
-                                    return Err(SimError::EmptyMemory { cycle });
-                                }
-                                mem[(t as usize) % mem.len()]
-                            }
-                            OpCode::St | OpCode::Jmp | OpCode::Cjmp => unreachable!(),
-                        };
-                        let ready = cycle + u64::from(fu_state[fi].kind.latency());
-                        fu_state[fi].pending.push_back((ready, raw & mask));
-                    }
-                }
-            }
-            // 4c. … and RF writes land last.
-            for (mv, &v) in instr.iter().zip(&values) {
-                if let MoveDst::RfWrite { rf, reg } = &mv.dst {
-                    let ri = rf_index(rf).expect("checked above");
-                    rf_state[ri][*reg] = v;
-                }
-            }
-
-            steps.push(TraceCycle {
-                cycle,
-                instr: pc,
-                moves: instr
-                    .iter()
-                    .zip(&values)
-                    .map(|(mv, &value)| TraceMove {
-                        src: mv.src.clone(),
-                        dst: mv.dst.clone(),
-                        value,
-                    })
-                    .collect(),
-            });
-            cycle += 1;
-            pc = next_pc.unwrap_or(pc + 1);
-        }
-
-        // Read the declared outputs from final state.
-        let mut outputs = Vec::with_capacity(program.outputs.len());
-        for out in &program.outputs {
-            let ri = rf_index(&out.rf).ok_or_else(|| SimError::UnconnectedSocket {
-                name: out.rf.clone(),
-            })?;
-            let state = &rf_state[ri];
-            if out.reg >= state.len() {
-                return Err(SimError::RegisterOutOfRange {
-                    rf: out.rf.clone(),
-                    reg: out.reg,
-                    regs: state.len(),
-                });
-            }
-            outputs.push(state[out.reg]);
-        }
-
-        Ok(Trace {
-            cycles: cycle,
-            steps,
-            rfs: self
-                .arch
-                .rfs()
-                .iter()
-                .zip(rf_state)
-                .map(|(r, s)| (r.name.clone(), s))
-                .collect(),
-            mem,
-            outputs,
-        })
+                Ok(state[*reg])
+            })
+            .collect()
     }
 }

@@ -10,15 +10,18 @@
 //! every registered workload the executed cycle count equals the
 //! scheduled one and the executed outputs equal the golden model's.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`program`] — the executable move-program model ([`Program`]):
 //!   named units, register-file/memory images, per-cycle move lists;
+//! * [`code`] — the same program decoded against one architecture
+//!   ([`Code`]): every name resolved to an index, moves kept flat;
 //! * [`mod@lower`] — turns a movec [`Schedule`](tta_movec::schedule::Schedule)
-//!   into a [`Program`] (the register allocation the scheduler leaves
-//!   symbolic happens here);
+//!   into [`Code`] or a [`Program`] (the register allocation the
+//!   scheduler leaves symbolic happens here);
 //! * [`exec`] — the interpreter ([`Simulator`]) with its legality
-//!   rules and [`Trace`] format.
+//!   rules: [`Simulator::run`] returns a full [`Trace`],
+//!   [`Simulator::outcome`] only the cycles and outputs a sweep needs.
 //!
 //! The textual syntax for these programs lives in the `tta_asm` crate;
 //! `docs/SIMULATOR.md` is the guide (every snippet in it runs as a
@@ -53,12 +56,14 @@
 
 #![warn(missing_docs)]
 
+pub mod code;
 pub mod exec;
 pub mod lower;
 pub mod program;
 
-pub use exec::{SimError, SimOptions, Simulator, Trace, TraceCycle, TraceMove};
-pub use lower::{lower, LowerError};
+pub use code::Code;
+pub use exec::{Outcome, SimError, SimOptions, Simulator, Trace, TraceCycle, TraceMove};
+pub use lower::{lower, lower_code, LowerError};
 pub use program::{MoveDst, MoveOp, MoveSrc, OpCode, OutputLoc, Program, RfImage};
 
 // `docs/SIMULATOR.md` snippets compile and run against this crate.

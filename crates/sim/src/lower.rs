@@ -1,4 +1,5 @@
-//! Lowering a movec [`Schedule`] into an executable [`Program`].
+//! Lowering a movec [`Schedule`] into executable [`Code`] (and, named,
+//! a [`Program`]).
 //!
 //! The scheduler works with symbolic value homes ("value 7 lives in
 //! rf1 from cycle 9") and never assigns concrete register indices.
@@ -29,7 +30,8 @@ use tta_arch::Architecture;
 use tta_movec::ir::{Dfg, Op, ValueId};
 use tta_movec::schedule::{Endpoint, Schedule, SPILL_PENALTY_CYCLES};
 
-use crate::program::{MoveDst, MoveOp, MoveSrc, OpCode, OutputLoc, Program, RfImage};
+use crate::code::{Code, Dst, Image, Move, Src};
+use crate::program::{OpCode, Program};
 
 /// Lowering failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,6 +144,8 @@ impl RfAlloc {
 /// are 16-bit even when the explored machine template is narrower —
 /// the schedule is a transport plan, not a datapath widening).
 ///
+/// This is [`lower_code`] followed by [`Code::to_program`].
+///
 /// # Errors
 ///
 /// See [`LowerError`]; a schedule produced by
@@ -155,6 +159,24 @@ pub fn lower(
     inputs: &[u64],
     mem: &[u64],
 ) -> Result<Program, LowerError> {
+    lower_code(arch, dfg, schedule, inputs, mem).map(|code| code.to_program(arch))
+}
+
+/// Lowers `schedule` straight into index-resolved [`Code`] for `arch`,
+/// naming nothing: the form [`Simulator::outcome`] runs.
+///
+/// [`Simulator::outcome`]: crate::Simulator::outcome
+///
+/// # Errors
+///
+/// As [`lower`].
+pub fn lower_code(
+    arch: &Architecture,
+    dfg: &Dfg,
+    schedule: &Schedule,
+    inputs: &[u64],
+    mem: &[u64],
+) -> Result<Code, LowerError> {
     if inputs.len() != dfg.input_count() {
         return Err(LowerError::InputCount {
             expected: dfg.input_count(),
@@ -242,19 +264,21 @@ pub fn lower(
         .map(|op| ((op.fu, op.trigger), op.node))
         .collect();
 
-    let fu_name = |i: usize| arch.fus()[i].name.clone();
-    let rf_name = |i: usize| arch.rfs()[i].name.clone();
     let reg_for = |v: ValueId| -> Result<usize, LowerError> {
         reg_of[v.index()]
             .ok_or_else(|| LowerError::Malformed(format!("value {} has no register", v.index())))
     };
 
-    let mut instructions: Vec<Vec<MoveOp>> = vec![Vec::new(); schedule.makespan as usize];
+    // Each move in schedule order, then bucketed by cycle (an
+    // instruction keeps the schedule's move order).
+    let makespan = schedule.makespan as usize;
+    let mut placed: Vec<(usize, Move)> = Vec::with_capacity(schedule.moves.len());
+    let mut per_cycle = vec![0usize; makespan];
     for mv in &schedule.moves {
         let src = match mv.src {
-            Endpoint::FuResult(fu) => MoveSrc::FuResult(fu_name(fu)),
-            Endpoint::RfRead(rf) => MoveSrc::RfRead {
-                rf: rf_name(rf),
+            Endpoint::FuResult(fu) => Src::Result(fu),
+            Endpoint::RfRead(rf) => Src::Reg {
+                rf,
                 reg: reg_for(mv.value)?,
             },
             Endpoint::Imm(unit) => {
@@ -265,8 +289,8 @@ pub fn lower(
                         mv.value.index()
                     )));
                 };
-                MoveSrc::Imm {
-                    unit: fu_name(unit),
+                Src::Imm {
+                    unit,
                     value: c & mask,
                 }
             }
@@ -277,7 +301,7 @@ pub fn lower(
             }
         };
         let dst = match mv.dst {
-            Endpoint::FuOperand(fu) => MoveDst::FuOperand(fu_name(fu)),
+            Endpoint::FuOperand(fu) => Dst::Operand(fu),
             Endpoint::FuTrigger(fu) => {
                 let &node = trigger_node.get(&(fu, mv.cycle)).ok_or_else(|| {
                     LowerError::Malformed(format!(
@@ -288,13 +312,10 @@ pub fn lower(
                 let op = opcode_of(dfg.nodes()[node].op).ok_or_else(|| {
                     LowerError::Malformed(format!("node {node} is not an operation"))
                 })?;
-                MoveDst::FuTrigger {
-                    fu: fu_name(fu),
-                    op,
-                }
+                Dst::Trigger { fu, op }
             }
-            Endpoint::RfWrite(rf) => MoveDst::RfWrite {
-                rf: rf_name(rf),
+            Endpoint::RfWrite(rf) => Dst::Reg {
+                rf,
                 reg: reg_for(mv.value)?,
             },
             Endpoint::FuResult(_) | Endpoint::RfRead(_) | Endpoint::Imm(_) => {
@@ -303,20 +324,38 @@ pub fn lower(
                 ));
             }
         };
-        let slot = instructions.get_mut(mv.cycle as usize).ok_or_else(|| {
+        let cycle = mv.cycle as usize;
+        let count = per_cycle.get_mut(cycle).ok_or_else(|| {
             LowerError::Malformed(format!("move beyond makespan at {}", mv.cycle))
         })?;
-        slot.push(MoveOp { src, dst });
+        *count += 1;
+        placed.push((cycle, Move { src, dst }));
     }
     // Spill penalty: the same fixed per-event cost the analytic model
     // charges, as empty (stall) instructions.
-    for _ in 0..schedule.spills * SPILL_PENALTY_CYCLES {
-        instructions.push(Vec::new());
+    let stalls = (schedule.spills * SPILL_PENALTY_CYCLES) as usize;
+    let mut starts = Vec::with_capacity(makespan + stalls + 1);
+    starts.push(0);
+    for count in per_cycle {
+        starts.push(starts[starts.len() - 1] + count);
+    }
+    starts.resize(makespan + stalls + 1, placed.len());
+    // Counting placement; every slot is overwritten, the filler never
+    // survives.
+    let filler = Move {
+        src: Src::Result(0),
+        dst: Dst::Operand(0),
+    };
+    let mut moves = vec![filler; placed.len()];
+    let mut next = starts.clone();
+    for (cycle, mv) in placed {
+        moves[next[cycle]] = mv;
+        next[cycle] += 1;
     }
 
     // Register-file images: hardware capacity or the allocation's
     // overflow, live-ins preloaded.
-    let mut rfs = Vec::with_capacity(arch.rfs().len());
+    let mut images = Vec::with_capacity(arch.rfs().len());
     for (ri, rf) in arch.rfs().iter().enumerate() {
         let used = reg_of
             .iter()
@@ -334,8 +373,8 @@ pub fn lower(
                 }
             }
         }
-        rfs.push(RfImage {
-            name: rf.name.clone(),
+        images.push(Image {
+            rf: Ok(ri),
             regs,
             init,
         });
@@ -349,17 +388,17 @@ pub fn lower(
         }
         let rf = value_rf[i]
             .ok_or_else(|| LowerError::Malformed(format!("output {i} has no register file")))?;
-        outputs.push(OutputLoc {
-            rf: rf_name(rf),
-            reg: reg_for(v)?,
-        });
+        outputs.push((Ok(rf), reg_for(v)?));
     }
 
-    Ok(Program {
+    Ok(Code {
         width: dfg.width(),
-        rfs,
+        images,
         mem: mem.to_vec(),
         outputs,
-        instructions,
+        moves,
+        starts,
+        bad_srcs: Vec::new(),
+        bad_dsts: Vec::new(),
     })
 }

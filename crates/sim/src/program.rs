@@ -250,15 +250,20 @@ pub struct Program {
 impl Program {
     /// The word mask for `width`.
     pub fn mask(&self) -> u64 {
-        if self.width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        }
+        word_mask(self.width)
     }
 
     /// Total number of moves across all instructions.
     pub fn move_count(&self) -> usize {
         self.instructions.iter().map(Vec::len).sum()
+    }
+}
+
+/// The mask of a `width`-bit word.
+pub(crate) fn word_mask(width: u32) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
     }
 }
